@@ -48,6 +48,39 @@ def _parameter_names():
     return names
 
 
+class _BadParameters(ValueError):
+    """A verb's parameter flags describe an invalid configuration."""
+
+
+def _parameter_overrides(args, skip=()):
+    """The ``--<parameter>`` flags the user actually set, by name."""
+    return {
+        name: getattr(args, name)
+        for name in _parameter_names()
+        if name not in skip and getattr(args, name, None) is not None
+    }
+
+
+def _build_params(args, **fixed):
+    """Validated :class:`SimulationParameters` from *args* and *fixed*.
+
+    Raised ``ValueError`` s become :class:`_BadParameters`, which
+    :func:`main` reports as ``error: ...`` with exit status 2 before the
+    verb runs anything.  Unknown policy names pass through unchanged so
+    they keep their registry suggestions.
+    """
+    from repro.policies import UnknownPolicyError
+
+    overrides = _parameter_overrides(args)
+    overrides.update(fixed)
+    try:
+        return SimulationParameters(**overrides)
+    except UnknownPolicyError:
+        raise
+    except ValueError as exc:
+        raise _BadParameters(str(exc)) from None
+
+
 def _add_parameter_flags(parser, skip=()):
     """Add one ``--<name>`` option per simulation parameter.
 
@@ -693,12 +726,7 @@ def _command_predict(args):
     """Analytic prediction(s) — milliseconds, no simulation."""
     from repro.analytic.mva import predict
 
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if getattr(args, name, None) is not None
-    }
-    base = SimulationParameters(**overrides)
+    base = _build_params(args)
     if args.ltot_grid:
         ltots = [int(v) for v in args.ltot_grid.split(",") if v.strip()]
         configs = [base.replace(ltot=ltot) for ltot in ltots]
@@ -915,11 +943,7 @@ def _command_faults(args):
             "running fault-free baseline."
         )
     backoff = make_backoff_policy(args.backoff)
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if name != "ltot" and getattr(args, name, None) is not None
-    }
+    overrides = _parameter_overrides(args, skip=("ltot",))
     ltots = tuple(int(v) for v in args.ltot_grid.split(",") if v.strip())
     sweeps = {}
     series_fields = ()
@@ -1068,24 +1092,17 @@ def _command_faults(args):
 
 
 def _command_simulate(args):
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if getattr(args, name) is not None
-    }
+    params = _build_params(args)
     if args.trace:
         from repro.core.model import LockingGranularityModel
         from repro.des.trace import Trace
 
         trace = Trace()
-        model = LockingGranularityModel(
-            SimulationParameters(**overrides), trace=trace
-        )
-        result = model.run()
+        result = LockingGranularityModel(params, trace=trace).run()
         print(trace.format(limit=args.trace))
         print("({} events total)".format(len(trace)))
     else:
-        result = simulate(**overrides)
+        result = simulate(params)
     print("Parameters:")
     for key, value in sorted(result.params.as_dict().items()):
         print("  {:24s} {}".format(key, value))
@@ -1103,13 +1120,7 @@ def _command_simulate(args):
 def _command_tune(args):
     from repro.experiments.search import find_optimal_ltot
 
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if hasattr(args, name) and getattr(args, name) is not None
-    }
-    overrides["tmax"] = args.tmax
-    params = SimulationParameters(**overrides)
+    params = _build_params(args, tmax=args.tmax)
     outcome = find_optimal_ltot(
         params,
         objective=args.objective,
@@ -1132,13 +1143,7 @@ def _command_sensitivity(args):
         format_sensitivities,
     )
 
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if hasattr(args, name) and getattr(args, name) is not None
-    }
-    overrides["tmax"] = args.tmax
-    params = SimulationParameters(**overrides)
+    params = _build_params(args, tmax=args.tmax)
     results = analyze_sensitivity(
         params,
         output=args.output,
@@ -1158,12 +1163,7 @@ def _command_trace(args):
     from repro.core.model import MODEL_VERSION, LockingGranularityModel
     from repro.obs import JsonlTraceSink, Telemetry, build_manifest, write_manifest
 
-    overrides = {
-        name: getattr(args, name)
-        for name in _parameter_names()
-        if getattr(args, name) is not None
-    }
-    params = SimulationParameters(**overrides)
+    params = _build_params(args)
     sink = JsonlTraceSink(
         args.out,
         params=params.as_dict(),
@@ -1286,7 +1286,9 @@ def main(argv=None):
     """Entry point of the ``repro-locking`` console script.
 
     An unknown policy name (``--cc wond-wait``) exits with status 2
-    and the registry's close-match suggestions instead of a traceback.
+    and the registry's close-match suggestions instead of a traceback;
+    so does an invalid configuration (``--dbsize 0``), with its
+    validation message.
     """
     from repro.policies import UnknownPolicyError
 
@@ -1300,6 +1302,9 @@ def main(argv=None):
             "policy.",
             file=sys.stderr,
         )
+        return 2
+    except _BadParameters as exc:
+        print("error: {}".format(exc), file=sys.stderr)
         return 2
 
 

@@ -30,14 +30,7 @@ Example
 [('fast', 1.0), ('slow', 2.0), ('fast', 2.0), ('fast', 3.0), ('slow', 4.0), ('fast', 4.0)]
 """
 
-from repro.des.calendar import CalendarEnvironment
-from repro.des.engine import (
-    Environment,
-    KernelStats,
-    ProfiledEnvironment,
-    available_schedulers,
-    scheduler_class,
-)
+from repro.des.engine import Environment, KernelStats, ProfiledEnvironment
 from repro.des.errors import Interrupt, SimulationError, StopSimulation
 from repro.des.events import AllOf, AnyOf, Event, Timeout
 from repro.des.monitor import Tally, TimeWeighted
@@ -51,7 +44,6 @@ from repro.des.trace import Trace, TraceRecord
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarEnvironment",
     "Environment",
     "Event",
     "Interrupt",
@@ -70,6 +62,4 @@ __all__ = [
     "TimeWeighted",
     "Trace",
     "TraceRecord",
-    "available_schedulers",
-    "scheduler_class",
 ]

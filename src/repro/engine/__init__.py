@@ -11,20 +11,10 @@ power over running transactions for I/O and CPU resources".
 
 from repro.engine.machine import Machine
 from repro.engine.processor import LOCK_PRIORITY, TXN_PRIORITY, Processor
-from repro.engine.txn_scheduler import (
-    AdaptiveAdmission,
-    FCFSAdmission,
-    SmallestFirstAdmission,
-    make_admission_policy,
-)
 
 __all__ = [
-    "AdaptiveAdmission",
-    "FCFSAdmission",
     "LOCK_PRIORITY",
     "Machine",
     "Processor",
-    "SmallestFirstAdmission",
     "TXN_PRIORITY",
-    "make_admission_policy",
 ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, ProfiledEnvironment
+from repro.des import ProfiledEnvironment
 from repro.des.events import URGENT, Event
 
 
@@ -81,14 +81,29 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match="negative delay"):
             env.timeout(-1.0)
 
-    def test_recycled_timeout_rejects_negative_delay(self):
-        """The pooled timeout() fast path validates delay too."""
-        env = Environment(pool=True)
-        env.timeout(1.0)
-        env.run()
-        assert env.pool_stats()["timeout_free"] == 1
+    def test_first_bare_delay_rejects_negative(self, env):
+        """``yield -1.0`` as a process's first yield goes through
+        schedule_tick, which validates the delay."""
+
+        def sleeper():
+            yield -1.0
+
+        env.process(sleeper())
         with pytest.raises(ValueError, match="negative delay"):
-            env.timeout(-1.0)
+            env.run()
+
+    def test_later_bare_delay_rejects_negative(self, env):
+        """A negative bare delay after a positive one hits the inline
+        check of the dispatch loop's tick fast path."""
+
+        def sleeper():
+            yield 1.0
+            yield -1.0
+
+        env.process(sleeper())
+        with pytest.raises(ValueError, match="negative delay"):
+            env.run()
+        assert env.now == 1.0
 
 
 class TestProfiledCallbacks:

@@ -508,3 +508,41 @@ class TestObservabilityVerbs:
         out = capsys.readouterr().out
         assert "Contention diagnosis:" in out
         assert "hottest granules by time spent waiting:" in out
+
+
+class TestBadInput:
+    """Invalid configurations exit 2 with a message, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--dbsize", "0"], "dbsize must be >= 1"),
+            (
+                ["simulate", "--workload", "classes",
+                 "--txn-classes", "garbage"],
+                "class spec needs name:fraction:maxtransize",
+            ),
+            (["tune", "--dbsize", "0"], "dbsize must be >= 1"),
+            (["sensitivity", "--npros", "0"], "npros must be >= 1"),
+            (["predict", "--ntrans", "0"], "ntrans must be >= 1"),
+        ],
+    )
+    def test_invalid_parameters_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_invalid_trace_parameters_write_nothing(self, capsys, tmp_path):
+        out = tmp_path / "t.jsonl"
+        assert main(["trace", "--out", str(out), "--dbsize", "0"]) == 2
+        assert "dbsize must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_conflict_engine_is_an_unknown_policy(self, capsys):
+        assert main(["simulate", "--conflict-engine", "vectorized"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown conflict policy 'vectorized'" in err
+        assert "probabilistic" in err
+        assert "repro-locking policies" in err

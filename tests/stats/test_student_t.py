@@ -1,8 +1,7 @@
 """The stdlib Student-t quantile must match scipy to high precision.
 
 Reference values below are scipy 1.x ``stats.t.ppf`` outputs, pinned
-as constants so this test also validates the fallback on the no-scipy
-CI leg (where scipy itself cannot be consulted).
+as constants so the test needs no scipy.
 """
 
 import pytest
@@ -33,8 +32,6 @@ def test_stdlib_matches_pinned_scipy_values(q, df):
 
 @pytest.mark.parametrize("q,df", sorted(REFERENCE))
 def test_public_entry_point_agrees(q, df):
-    # Whichever backend t_ppf picked (scipy if installed, stdlib
-    # otherwise), it must land on the same quantile.
     assert t_ppf(q, df) == pytest.approx(
         REFERENCE[(q, df)], rel=1e-9, abs=1e-12
     )

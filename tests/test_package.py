@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -29,7 +32,6 @@ MODULES = [
     "repro.core.txnclass",
     "repro.core.workload",
     "repro.des",
-    "repro.des.calendar",
     "repro.des.engine",
     "repro.des.errors",
     "repro.des.events",
@@ -44,7 +46,6 @@ MODULES = [
     "repro.engine.cluster",
     "repro.engine.machine",
     "repro.engine.processor",
-    "repro.engine.txn_scheduler",
     "repro.experiments",
     "repro.experiments.accelerator",
     "repro.experiments.cache",
@@ -106,6 +107,32 @@ def test_module_list_is_complete():
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         found.add(info.name)
     assert found == set(MODULES)
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    """The package and the sweep harness are pure stdlib.
+
+    Run in a fresh interpreter, so modules other tests imported do not
+    count; importing numpy or scipy would add over a second to every
+    run's set-up.
+    """
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    probe = (
+        "import sys, repro, repro.experiments.runner; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def iter_public_callables(module):
