@@ -1,15 +1,17 @@
 """Regenerate every exhibit's data (the EXPERIMENTS.md source).
 
-Runs all exhibits at a configurable horizon and writes one CSV and one
-JSON per exhibit under ``results/``, plus a combined summary JSON.
-Figures 2–4 share one configuration grid, so their sweep is executed
-once and reused.
+Runs the selected exhibits at a configurable horizon and writes one CSV
+and one JSON per exhibit under ``results/``, plus a combined summary
+JSON.
 
-With ``--jobs N`` (N > 1) every selected exhibit is batched into ONE
-global work queue (:func:`repro.experiments.runner.run_experiments`):
-all (cell, replication) jobs across all exhibits are deduplicated by
-content address, ordered longest-first and packed onto one worker
-pool, so cores never idle at exhibit boundaries.
+Every selected exhibit goes through ONE call of
+:func:`repro.experiments.runner.run_experiments`: one global work queue,
+run inline (``--jobs 0``) or on one pool of N worker processes.  Cells
+are deduplicated by content address, so the cells several exhibits
+share (figures 2-4 sweep one grid) are simulated once and reported as
+``shared`` to the others.  Each exhibit keeps its own crash-safe
+journal under ``<out>/.journals``; an interrupted regeneration resumes
+with ``--resume``.
 
 Usage::
 
@@ -23,13 +25,10 @@ import sys
 import time
 from pathlib import Path
 
+from repro.cli import comma_grid
 from repro.experiments.figures import EXHIBITS
-from repro.experiments.runner import run_experiment, run_experiments
+from repro.experiments.runner import run_experiments
 from repro.experiments.storage import save_rows_csv, save_rows_json
-
-#: Exhibits whose sweep equals fig2's (same base, same grid): their
-#: data comes from the same runs, just different reported columns.
-SHARES_FIG2_GRID = ("fig3", "fig4")
 
 
 def parse_args(argv):
@@ -37,11 +36,11 @@ def parse_args(argv):
     parser.add_argument("--tmax", type=float, default=600.0)
     parser.add_argument("--out", default="results")
     parser.add_argument(
-        "--npros-grid", default="1,10,30",
+        "--npros-grid", type=comma_grid(int), default=(1, 10, 30),
         help="comma list replacing the npros sweep of figs 2-5 and 8",
     )
     parser.add_argument(
-        "--only", default="",
+        "--only", type=comma_grid(str), default=(),
         help="comma list of exhibit keys to run (default: all)",
     )
     parser.add_argument(
@@ -50,7 +49,7 @@ def parse_args(argv):
     )
     parser.add_argument(
         "--jobs", type=int, default=0,
-        help="worker processes per sweep (0 = inline)",
+        help="worker processes of the global queue (0 = inline)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -84,8 +83,8 @@ def _write_exhibit(key, spec, result, elapsed, out_dir, summary, svg):
             "title": spec.title,
             "tmax": spec.base.tmax,
             "elapsed_seconds": round(elapsed, 1),
-            "cache_hits": result.stats.cache_hits if result.stats else None,
-            "simulated_runs": result.stats.runs if result.stats else None,
+            "cache_hits": result.stats.cache_hits,
+            "simulated_runs": result.stats.runs,
         },
     )
     series = {
@@ -106,8 +105,27 @@ def _write_exhibit(key, spec, result, elapsed, out_dir, summary, svg):
         save_result_charts(result, str(out_dir), prefix=key)
 
 
-def _run_batched(selected, args, out_dir, summary):
-    """Run every selected exhibit through one global work queue."""
+def main(argv=None):
+    args = parse_args(argv)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    summary_path = out_dir / "summary.json"
+    if summary_path.exists():
+        with open(summary_path) as handle:
+            summary = json.load(handle)
+    else:
+        summary = {}
+
+    selected = []
+    for key, builder in EXHIBITS.items():
+        if args.only and key not in args.only:
+            continue
+        spec = builder().scaled(tmax=args.tmax)
+        if "npros" in spec.sweeps and len(spec.sweeps["npros"]) > 3:
+            spec = spec.scaled(replace_sweeps={"npros": args.npros_grid})
+        selected.append((key, spec))
+
     started = time.time()
     try:
         results = run_experiments(
@@ -122,6 +140,8 @@ def _run_batched(selected, args, out_dir, summary):
             resume=args.resume,
             watchdog=args.watchdog,
             drain_signals=True,
+            # Live progress: every resolved cell (cache hit, run or
+            # shared) updates the line, so a long queue is never silent.
             cell_progress=lambda done, total, info: print(
                 "\r  {} {}/{} cells [{}: {}]   ".format(
                     info["spec"], done, total, info["source"], info["label"]
@@ -140,97 +160,14 @@ def _run_batched(selected, args, out_dir, summary):
     elapsed = time.time() - started
     for (key, spec), result in zip(selected, results):
         _write_exhibit(key, spec, result, elapsed, out_dir, summary, args.svg)
+        print("done {} ({})".format(key, result.stats.summary()))
+    if results:
+        stats = results[0].stats
         print(
-            "done {} ({})".format(key, result.stats.summary())
+            "global queue: {} workers, occupancy {:.0%}, {:.0f}s wall".format(
+                stats.workers, stats.occupancy, elapsed
+            )
         )
-    stats = results[0].stats
-    print(
-        "global queue: {} workers, occupancy {:.0%}, {:.0f}s wall".format(
-            stats.workers, stats.occupancy, elapsed
-        )
-    )
-    return 0
-
-
-def main(argv=None):
-    args = parse_args(argv)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    npros_grid = tuple(int(x) for x in args.npros_grid.split(","))
-    only = {key.strip() for key in args.only.split(",") if key.strip()}
-
-    summary_path = out_dir / "summary.json"
-    if summary_path.exists():
-        with open(summary_path) as handle:
-            summary = json.load(handle)
-    else:
-        summary = {}
-
-    selected = []
-    for key, builder in EXHIBITS.items():
-        if only and key not in only:
-            continue
-        spec = builder().scaled(tmax=args.tmax)
-        if "npros" in spec.sweeps and len(spec.sweeps["npros"]) > 3:
-            spec = spec.scaled(replace_sweeps={"npros": npros_grid})
-        selected.append((key, spec))
-
-    if args.jobs > 1 and len(selected) > 1:
-        # Batched path: one global queue over every exhibit's cells.
-        # Exhibits sharing a grid (figs 2-4) dedupe at the cell level,
-        # so the explicit fig2 reuse below is only needed inline.
-        code = _run_batched(selected, args, out_dir, summary)
-        if code:
-            return code
-        with open(summary_path, "w") as handle:
-            json.dump(summary, handle, indent=1, sort_keys=True)
-        print("wrote {}/summary.json".format(out_dir))
-        return 0
-
-    fig2_result = None
-    for key, spec in selected:
-        started = time.time()
-        if key in SHARES_FIG2_GRID and fig2_result is not None and not only:
-            result = fig2_result
-            result = type(result)(spec, result.outcomes)
-            note = "(reused fig2 runs)"
-        else:
-            try:
-                result = run_experiment(
-                    spec,
-                    jobs=args.jobs,
-                    cache=False if args.no_cache else None,
-                    refresh=args.refresh,
-                    # One crash-safe journal per exhibit: an
-                    # interrupted regeneration resumes with --resume.
-                    journal=str(out_dir / ".journals" / (key + ".journal")),
-                    resume=args.resume,
-                    watchdog=args.watchdog,
-                    drain_signals=True,
-                    # Live per-replication progress: every resolved cell
-                    # (cache hit or finished run) updates the line, so
-                    # parallel sweeps are never silent between configs.
-                    cell_progress=lambda done, total, info, key=key: print(
-                        "\r  {} {}/{} cells [{}: {}]   ".format(
-                            key, done, total, info["source"], info["label"]
-                        ),
-                        end="", file=sys.stderr, flush=True,
-                    ),
-                )
-            except KeyboardInterrupt:
-                print(file=sys.stderr)
-                print(
-                    "interrupted during {}; progress journalled — rerun "
-                    "with --resume to continue".format(key)
-                )
-                return 130
-            print(file=sys.stderr)
-            note = "({})".format(result.stats.summary())
-        if key == "fig2":
-            fig2_result = result
-        elapsed = time.time() - started
-        _write_exhibit(key, spec, result, elapsed, out_dir, summary, args.svg)
-        print("done {} in {:.0f}s {}".format(key, elapsed, note))
     with open(summary_path, "w") as handle:
         json.dump(summary, handle, indent=1, sort_keys=True)
     print("wrote {}/summary.json".format(out_dir))

@@ -49,7 +49,39 @@ def _parameter_names():
 
 
 class _BadParameters(ValueError):
-    """A verb's parameter flags describe an invalid configuration."""
+    """A verb's input is invalid: its parameter flags describe an
+    invalid configuration, it names an unknown exhibit, or an input
+    file cannot be read."""
+
+
+def comma_grid(convert):
+    """argparse ``type=`` for a comma-separated grid, e.g. ``1,10,100``.
+
+    Each non-empty item is passed through *convert* (``int`` for lock
+    and processor grids, ``str`` for protocol names); the grid is a
+    tuple.  An item *convert* rejects is a usage error (exit 2).
+    """
+
+    def parse(text):
+        try:
+            return tuple(
+                convert(item.strip()) for item in text.split(",") if item.strip()
+            )
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid {} grid: {!r}".format(convert.__name__, text)
+            ) from None
+
+    return parse
+
+
+def positive_count(text):
+    """argparse ``type=`` for a count that must be at least 1."""
+    if not (text.strip().isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(
+            "must be an integer >= 1, got {!r}".format(text)
+        )
+    return int(text)
 
 
 def _parameter_overrides(args, skip=()):
@@ -79,6 +111,60 @@ def _build_params(args, **fixed):
         raise
     except ValueError as exc:
         raise _BadParameters(str(exc)) from None
+
+
+def _exhibit_spec(key, npros_grid=None, **changes):
+    """Exhibit *key*, scaled by *changes* when there are any.
+
+    *npros_grid* replaces the spec's npros sweep if it has one.  An
+    unknown key or a change that makes the spec invalid raises
+    :class:`_BadParameters`.
+    """
+    from repro.policies import UnknownPolicyError
+
+    try:
+        spec = get_exhibit(key)
+        if npros_grid and "npros" in spec.sweeps:
+            changes["replace_sweeps"] = {"npros": npros_grid}
+        return spec.scaled(**changes) if changes else spec
+    except UnknownPolicyError:
+        raise
+    except (KeyError, ValueError) as exc:
+        raise _BadParameters(exc.args[0]) from None
+
+
+def _cache_from_args(args):
+    """The sweep's ``cache=`` from ``--no-cache`` / ``--cache-dir``."""
+    if args.no_cache:
+        return False
+    if args.cache_dir:
+        from repro.experiments.cache import ResultCache
+
+        return ResultCache(args.cache_dir)
+    return None  # default on-disk cache (REPRO_CACHE=0 disables)
+
+
+def _serve_metrics(metrics, port):
+    """Start and announce a :class:`MetricsServer` for *metrics*."""
+    from repro.obs.exporters import MetricsServer
+
+    server = MetricsServer(metrics, port=port)
+    server.start()
+    print(
+        "Serving metrics at http://{}:{}/metrics "
+        "(and /metrics.json)".format(server.host, server.port)
+    )
+    return server
+
+
+def _read_input(load, path):
+    """``load(path)``, reporting an unreadable input file as bad input."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise _BadParameters(
+            "cannot read {}: {}".format(path, exc.strerror or exc)
+        ) from None
 
 
 def _add_parameter_flags(parser, skip=()):
@@ -139,7 +225,8 @@ def build_parser():
     run.add_argument("exhibit", help="table1, fig2..fig12, 2..12, or an ablation key")
     run.add_argument("--tmax", type=float, default=None, help="override horizon")
     run.add_argument(
-        "--replications", type=int, default=1, help="replications per point"
+        "--replications", type=positive_count, default=1,
+        help="replications per point",
     )
     run.add_argument("--jobs", type=int, default=0, help="worker processes")
     run.add_argument(
@@ -240,7 +327,7 @@ def build_parser():
         help="analytic prediction of one configuration (no simulation)",
     )
     predict.add_argument(
-        "--ltot-grid", default=None, metavar="L1,L2,...",
+        "--ltot-grid", type=comma_grid(int), default=None, metavar="L1,L2,...",
         help="predict a whole granularity curve instead of one cell",
     )
     predict.add_argument(
@@ -260,7 +347,7 @@ def build_parser():
     )
     crossval.add_argument("--tmax", type=float, default=None)
     crossval.add_argument(
-        "--replications", type=int, default=1,
+        "--replications", type=positive_count, default=1,
         help="simulation replications per configuration",
     )
     crossval.add_argument("--jobs", type=int, default=0)
@@ -273,11 +360,13 @@ def build_parser():
         "switch the conflict engine to 'explicit' automatically)",
     )
     crossval.add_argument(
-        "--npros-grid", default=None, metavar="N1,N2,...",
+        "--npros-grid", type=comma_grid(int), default=None,
+        metavar="N1,N2,...",
         help="override the spec's npros sweep",
     )
     crossval.add_argument(
-        "--ltot-grid", default=None, metavar="L1,L2,...",
+        "--ltot-grid", type=comma_grid(int), default=None,
+        metavar="L1,L2,...",
         help="override the spec's ltot sweep",
     )
     crossval.add_argument(
@@ -312,7 +401,8 @@ def build_parser():
         help="availability-vs-granularity sweep under injected faults",
     )
     faults.add_argument(
-        "--ltot-grid", default="10,100,1000", metavar="L1,L2,...",
+        "--ltot-grid", type=comma_grid(int), default=(10, 100, 1000),
+        metavar="L1,L2,...",
         help="lock-count grid to sweep (default 10,100,1000)",
     )
     faults.add_argument(
@@ -387,12 +477,13 @@ def build_parser():
         help="dedicated fault-schedule seed (default: the run seed)",
     )
     faults.add_argument(
-        "--commit-grid", default=None, metavar="P1,P2,...",
+        "--commit-grid", type=comma_grid(str), default=None,
+        metavar="P1,P2,...",
         help="also sweep commit protocols (e.g. 2pc,primary-copy; "
         "needs --nnodes >= 2) — the availability-under-partition table",
     )
     faults.add_argument(
-        "--replications", type=int, default=3,
+        "--replications", type=positive_count, default=3,
         help="replications per grid point (default 3)",
     )
     faults.add_argument("--jobs", type=int, default=0, help="worker processes")
@@ -432,7 +523,7 @@ def build_parser():
     )
     tune.add_argument("--objective", default="throughput")
     tune.add_argument("--minimize", action="store_true")
-    tune.add_argument("--replications", type=int, default=2)
+    tune.add_argument("--replications", type=positive_count, default=2)
     tune.add_argument("--tmax", type=float, default=400.0)
     _add_parameter_flags(tune, skip=("ltot", "tmax"))
 
@@ -442,7 +533,9 @@ def build_parser():
     )
     sensitivity.add_argument("--output", default="throughput")
     sensitivity.add_argument("--delta", type=float, default=0.25)
-    sensitivity.add_argument("--replications", type=int, default=2)
+    sensitivity.add_argument(
+        "--replications", type=positive_count, default=2
+    )
     sensitivity.add_argument("--tmax", type=float, default=300.0)
     _add_parameter_flags(sensitivity, skip=("tmax",))
 
@@ -542,16 +635,14 @@ def _command_policies(args):
 
 
 def _command_run(args):
-    spec = get_exhibit(args.exhibit)
     changes = {}
     if args.seed is not None:
         changes["seed"] = args.seed
     if args.quick:
-        spec = spec.scaled(
-            tmax=args.tmax or QUICK_TMAX, ltot_grid=QUICK_LTOT_GRID, **changes
-        )
-    elif args.tmax is not None or changes:
-        spec = spec.scaled(tmax=args.tmax, **changes)
+        changes.update(tmax=args.tmax or QUICK_TMAX, ltot_grid=QUICK_LTOT_GRID)
+    elif args.tmax is not None:
+        changes["tmax"] = args.tmax
+    spec = _exhibit_spec(args.exhibit, **changes)
 
     total = len(spec.configurations())
     print(
@@ -576,14 +667,6 @@ def _command_run(args):
         if done == of:
             sys.stderr.write("\n")
 
-    if args.no_cache:
-        cache = False
-    elif args.cache_dir:
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(args.cache_dir)
-    else:
-        cache = None  # default on-disk cache (REPRO_CACHE=0 disables)
     journal = args.journal
     if journal is None and args.resume:
         import os
@@ -599,7 +682,6 @@ def _command_run(args):
     metrics_server = None
     metrics_snapshot = args.metrics_snapshot
     if args.metrics or args.metrics_port is not None:
-        from repro.obs.exporters import MetricsServer
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.top import default_snapshot_path
 
@@ -607,14 +689,7 @@ def _command_run(args):
         if metrics_snapshot is None and journal is not None:
             metrics_snapshot = default_snapshot_path(journal)
         if args.metrics_port is not None:
-            metrics_server = MetricsServer(metrics, port=args.metrics_port)
-            metrics_server.start()
-            print(
-                "Serving metrics at http://{}:{}/metrics "
-                "(and /metrics.json)".format(
-                    metrics_server.host, metrics_server.port
-                )
-            )
+            metrics_server = _serve_metrics(metrics, args.metrics_port)
         if metrics_snapshot is not None:
             print("Metrics snapshots -> {}".format(metrics_snapshot))
     try:
@@ -623,7 +698,7 @@ def _command_run(args):
             replications=args.replications,
             jobs=args.jobs,
             cell_progress=cell_progress,
-            cache=cache,
+            cache=_cache_from_args(args),
             refresh=args.refresh,
             journal=journal,
             resume=args.resume,
@@ -728,8 +803,7 @@ def _command_predict(args):
 
     base = _build_params(args)
     if args.ltot_grid:
-        ltots = [int(v) for v in args.ltot_grid.split(",") if v.strip()]
-        configs = [base.replace(ltot=ltot) for ltot in ltots]
+        configs = [base.replace(ltot=ltot) for ltot in args.ltot_grid]
     else:
         configs = [base]
     fields = (
@@ -785,38 +859,18 @@ def _command_crossval(args):
         save_crossval_chart,
     )
 
-    spec = get_exhibit(args.exhibit)
-    base_changes = {}
+    changes = {}
+    if args.tmax is not None:
+        changes["tmax"] = args.tmax
+    if args.ltot_grid:
+        changes["ltot_grid"] = args.ltot_grid
     if args.protocol:
         from repro.policies import registry
 
-        base_changes["protocol"] = args.protocol
+        changes["protocol"] = args.protocol
         if getattr(registry.resolve("cc", args.protocol), "needs_granules", False):
-            base_changes["conflict_engine"] = "explicit"
-    replace_sweeps = {}
-    if args.npros_grid and "npros" in spec.sweeps:
-        replace_sweeps["npros"] = tuple(
-            int(v) for v in args.npros_grid.split(",") if v.strip()
-        )
-    if args.tmax is not None or base_changes or replace_sweeps or args.ltot_grid:
-        spec = spec.scaled(
-            tmax=args.tmax,
-            ltot_grid=(
-                tuple(int(v) for v in args.ltot_grid.split(",") if v.strip())
-                if args.ltot_grid
-                else None
-            ),
-            replace_sweeps=replace_sweeps or None,
-            **base_changes
-        )
-    if args.no_cache:
-        cache = False
-    elif args.cache_dir:
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(args.cache_dir)
-    else:
-        cache = None
+            changes["conflict_engine"] = "explicit"
+    spec = _exhibit_spec(args.exhibit, npros_grid=args.npros_grid, **changes)
     print(
         "Cross-validating {} ({} configurations, tmax={}) against the "
         "analytic model...".format(
@@ -833,7 +887,7 @@ def _command_crossval(args):
             else MIN_COMPLETIONS
         ),
         jobs=args.jobs,
-        cache=cache,
+        cache=_cache_from_args(args),
     )
     print(crossval.format())
     if args.json:
@@ -944,24 +998,17 @@ def _command_faults(args):
         )
     backoff = make_backoff_policy(args.backoff)
     overrides = _parameter_overrides(args, skip=("ltot",))
-    ltots = tuple(int(v) for v in args.ltot_grid.split(",") if v.strip())
     sweeps = {}
     series_fields = ()
     if args.commit_grid:
-        protocols = tuple(
-            v.strip() for v in args.commit_grid.split(",") if v.strip()
-        )
         nnodes = overrides.get("nnodes", SimulationParameters().nnodes)
-        if nnodes < 2 and any(p != "local" for p in protocols):
-            print(
-                "error: --commit-grid with distributed protocols needs "
-                "--nnodes >= 2",
-                file=sys.stderr,
+        if nnodes < 2 and any(p != "local" for p in args.commit_grid):
+            raise _BadParameters(
+                "--commit-grid with distributed protocols needs --nnodes >= 2"
             )
-            return 2
-        sweeps["commit_protocol"] = protocols
+        sweeps["commit_protocol"] = args.commit_grid
         series_fields = ("commit_protocol",)
-    sweeps["ltot"] = ltots
+    sweeps["ltot"] = args.ltot_grid
     distributed = (
         overrides.get("nnodes", 1) > 1 or bool(args.commit_grid)
     )
@@ -991,11 +1038,10 @@ def _command_faults(args):
         )
         configs = spec.configurations()
     except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
+        raise _BadParameters(str(exc)) from None
     print(
         "Faulted sweep: ltot in {}, {} replications, backoff={}{}".format(
-            list(ltots), args.replications, args.backoff,
+            list(args.ltot_grid), args.replications, args.backoff,
             ", commit in {}".format(list(sweeps["commit_protocol"]))
             if "commit_protocol" in sweeps else "",
         )
@@ -1003,18 +1049,10 @@ def _command_faults(args):
     metrics = None
     metrics_server = None
     if args.metrics_port is not None:
-        from repro.obs.exporters import MetricsServer
         from repro.obs.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
-        metrics_server = MetricsServer(metrics, port=args.metrics_port)
-        metrics_server.start()
-        print(
-            "Serving metrics at http://{}:{}/metrics "
-            "(and /metrics.json)".format(
-                metrics_server.host, metrics_server.port
-            )
-        )
+        metrics_server = _serve_metrics(metrics, args.metrics_port)
     try:
         result = run_experiment(
             spec,
@@ -1205,7 +1243,7 @@ def _command_trace(args):
 def _command_report(args):
     from repro.obs import format_report, load_trace, report_json, save_report_chart
 
-    tracefile = load_trace(args.telemetry)
+    tracefile = _read_input(load_trace, args.telemetry)
     if args.json is not None:
         import json
 
@@ -1255,8 +1293,12 @@ def _command_compare(args):
             if name in row
         )
 
-    baseline = {key_of(row): row for row in load_rows_csv(args.baseline)}
-    candidate = {key_of(row): row for row in load_rows_csv(args.candidate)}
+    baseline = {
+        key_of(row): row for row in _read_input(load_rows_csv, args.baseline)
+    }
+    candidate = {
+        key_of(row): row for row in _read_input(load_rows_csv, args.candidate)
+    }
     shared = [key for key in baseline if key in candidate]
     if not shared:
         print("No overlapping configurations between the two files.")
@@ -1287,14 +1329,17 @@ def main(argv=None):
 
     An unknown policy name (``--cc wond-wait``) exits with status 2
     and the registry's close-match suggestions instead of a traceback;
-    so does an invalid configuration (``--dbsize 0``), with its
-    validation message.
+    so does any other bad input — an invalid configuration
+    (``--dbsize 0``), an unknown exhibit or an unreadable input file —
+    with its ``error:`` message.  Malformed grids and counts
+    (``--ltot-grid x``, ``--replications 0``) are argparse usage
+    errors, which also exit 2.
     """
     from repro.policies import UnknownPolicyError
 
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.command](args)
     except UnknownPolicyError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         print(
@@ -1308,34 +1353,21 @@ def main(argv=None):
         return 2
 
 
-def _dispatch(args):
-    if args.command == "list":
-        return _command_list(args)
-    if args.command == "policies":
-        return _command_policies(args)
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "predict":
-        return _command_predict(args)
-    if args.command == "crossval":
-        return _command_crossval(args)
-    if args.command == "faults":
-        return _command_faults(args)
-    if args.command == "simulate":
-        return _command_simulate(args)
-    if args.command == "tune":
-        return _command_tune(args)
-    if args.command == "sensitivity":
-        return _command_sensitivity(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    if args.command == "report":
-        return _command_report(args)
-    if args.command == "top":
-        return _command_top(args)
-    if args.command == "compare":
-        return _command_compare(args)
-    raise AssertionError("unreachable: {!r}".format(args.command))
+_COMMANDS = {
+    "list": _command_list,
+    "policies": _command_policies,
+    "run": _command_run,
+    "predict": _command_predict,
+    "crossval": _command_crossval,
+    "faults": _command_faults,
+    "simulate": _command_simulate,
+    "tune": _command_tune,
+    "sensitivity": _command_sensitivity,
+    "trace": _command_trace,
+    "report": _command_report,
+    "top": _command_top,
+    "compare": _command_compare,
+}
 
 
 if __name__ == "__main__":

@@ -8,12 +8,13 @@ one.  While the sweep runs, the journal appends one JSON line per
 completed cell and flushes immediately, so a ``kill -9`` at any
 instant leaves a valid prefix on disk.
 
-On ``--resume`` the journal is reloaded tolerantly: a torn final line
-(the usual crash artefact) is skipped, and a journal written for a
-*different* sweep id is discarded wholesale rather than poisoning the
-resume.  The journal records progress only; the results themselves
-live in the content-addressed cache, which is what a resumed sweep
-reads them back from.
+:func:`read_journal` is the one reader of the format, shared by
+``--resume`` and ``repro-locking top``.  It is tolerant: a torn line
+(the usual crash artefact) or a line that is not a JSON object is
+skipped on its own, and a journal written for a *different* sweep id
+reads as empty rather than poisoning the resume.  The journal records
+progress only; the results themselves live in the content-addressed
+cache, which is what a resumed sweep reads them back from.
 
 File format (JSONL)::
 
@@ -25,9 +26,9 @@ File format (JSONL)::
 
 Faulted sweeps (a :class:`~repro.faults.plan.FaultPlan` in force)
 never touch the result cache, so their cells journal the full output
-record inline — ``load_results`` reads them back on resume, and the
-JSON float round-trip is exact, so a resumed faulted sweep is
-bit-identical to an uninterrupted one.
+record inline and resume reads it back; the JSON float round-trip is
+exact, so a resumed faulted sweep is bit-identical to an uninterrupted
+one.
 """
 
 import hashlib
@@ -39,6 +40,62 @@ def sweep_id(cell_keys):
     """Stable identity of a sweep: hash of its ordered cell addresses."""
     digest = hashlib.sha256("\n".join(cell_keys).encode("ascii"))
     return digest.hexdigest()[:16]
+
+
+def read_journal(path, sweep=None):
+    """Tolerantly parse the journal at *path* into a progress dict.
+
+    Returns ``{"sweep", "label", "cells", "done", "analytic",
+    "finished"}``: the header's fields (``None`` when the first line is
+    not a header), ``done`` mapping every completed cell key to its
+    inline result record (``None`` when the result lives in the cache),
+    the number of cells filled with provenance ``"analytic"``, and
+    whether a ``{"finished": true}`` footer is present.
+
+    A missing file reads as the empty state, and a line that is torn
+    (a crash mid-append) or is not a JSON object is skipped on its own.
+    With *sweep*, a journal written for any other sweep id also reads
+    as the empty state, so progress never resumes across sweeps.
+    """
+    state = {
+        "sweep": None,
+        "label": None,
+        "cells": None,
+        "done": {},
+        "analytic": 0,
+        "finished": False,
+    }
+    try:
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+    except OSError:
+        return state
+    entries = []
+    for line in lines:
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            entry = None
+        entries.append(entry if isinstance(entry, dict) else {})
+    if entries and "sweep" in entries[0]:
+        header = entries.pop(0)
+        if sweep is not None and header["sweep"] != sweep:
+            return state
+        state.update(
+            sweep=header["sweep"],
+            label=header.get("label"),
+            cells=header.get("cells"),
+        )
+    elif sweep is not None:
+        return state
+    for entry in entries:
+        if isinstance(entry.get("done"), str):
+            state["done"][entry["done"]] = entry.get("result")
+            if entry.get("provenance") == "analytic":
+                state["analytic"] += 1
+        if entry.get("finished"):
+            state["finished"] = True
+    return state
 
 
 class SweepJournal:
@@ -54,90 +111,9 @@ class SweepJournal:
     def __init__(self, path):
         self.path = str(path)
         self._handle = None
-        self._sweep = None
 
     def __repr__(self):
         return "<SweepJournal {!r}>".format(self.path)
-
-    # -- reading ---------------------------------------------------------
-
-    def load(self, sweep):
-        """Completed cell keys journalled for sweep id *sweep*.
-
-        Tolerant: a missing file, a journal for another sweep, or an
-        unparsable header yields an empty set; unparsable body lines
-        (torn tail writes) are skipped individually.
-        """
-        try:
-            with open(self.path) as handle:
-                lines = handle.read().splitlines()
-        except OSError:
-            return set()
-        if not lines:
-            return set()
-        try:
-            header = json.loads(lines[0])
-            recorded = header.get("sweep")
-        except ValueError:
-            return set()
-        if recorded != sweep:
-            return set()
-        done = set()
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn write at the crash point
-            if isinstance(entry, dict) and "done" in entry:
-                done.add(entry["done"])
-        return done
-
-    def load_results(self, sweep):
-        """Inline result documents journalled for sweep id *sweep*.
-
-        Returns ``{cell key: output dict}`` for every ``done`` entry
-        that carried a ``result`` payload (faulted sweeps).  Same
-        tolerance rules as :meth:`load`.
-        """
-        try:
-            with open(self.path) as handle:
-                lines = handle.read().splitlines()
-        except OSError:
-            return {}
-        if not lines:
-            return {}
-        try:
-            if json.loads(lines[0]).get("sweep") != sweep:
-                return {}
-        except ValueError:
-            return {}
-        results = {}
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn write at the crash point
-            if isinstance(entry, dict) and "done" in entry and "result" in entry:
-                results[entry["done"]] = entry["result"]
-        return results
-
-    def finished(self, sweep):
-        """True when the journal records a clean end of sweep *sweep*."""
-        try:
-            with open(self.path) as handle:
-                lines = handle.read().splitlines()
-        except OSError:
-            return False
-        if not lines:
-            return False
-        try:
-            if json.loads(lines[0]).get("sweep") != sweep:
-                return False
-            return any(
-                json.loads(line).get("finished") for line in lines[1:]
-            )
-        except ValueError:
-            return False
 
     # -- writing ---------------------------------------------------------
 
@@ -149,35 +125,33 @@ class SweepJournal:
         always when the on-disk journal belongs to a different sweep,
         the file is rewritten with a fresh header.
         """
-        preserve = keep and self._matches(sweep)
+        preserve = keep and read_journal(self.path)["sweep"] == sweep
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
         if preserve:
+            with open(self.path, "rb") as handle:
+                handle.seek(-1, os.SEEK_END)
+                torn = handle.read(1) != b"\n"
             self._handle = open(self.path, "a")
+            if torn:
+                # End the line a crash tore, so the next record does
+                # not run into it and get skipped with it.
+                self._handle.write("\n")
         else:
             self._handle = open(self.path, "w")
             header = {"sweep": sweep, "cells": cells}
             if label is not None:
                 header["label"] = label
             self._write(header)
-        self._sweep = sweep
-
-    def _matches(self, sweep):
-        try:
-            with open(self.path) as handle:
-                first = handle.readline()
-            return json.loads(first).get("sweep") == sweep
-        except (OSError, ValueError):
-            return False
 
     def record(self, key, provenance=None, result=None):
         """Append one completed cell and flush it to disk.
 
         *provenance* tags cells not produced by the simulator (the
         analytic accelerator records ``"analytic"``); plain simulated
-        or cached cells omit the field.  :meth:`load` treats both as
-        done.  *result* (an output dict) is stored inline for faulted
+        or cached cells omit the field.  :func:`read_journal` treats
+        both as done.  *result* (an output dict) is stored inline for faulted
         sweeps, whose results never reach the cache.
         """
         if self._handle is not None:

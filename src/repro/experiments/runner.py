@@ -1,27 +1,20 @@
 """Experiment execution: replications, parallelism, caching, stats.
 
 A sweep is a grid of ``(configuration, replication)`` cells; each cell
-is one independent simulation run.  :func:`run_experiment` resolves as
-many cells as it can from the content-addressed result cache
-(:mod:`repro.experiments.cache`), fans the remaining cells out over a
-process pool at *replication* granularity (not just configuration
-granularity, so a single expensive configuration still parallelises),
-and aggregates each configuration's replications in seed order —
-which makes ``jobs=N`` bit-identical to an inline run.
-
-:func:`run_experiments` generalises this to a *batch* of specs sharing
-ONE global work queue: every (cell, replication) job of every spec is
-collected up front, deduplicated by content address (figure specs that
-share a parameter grid request the same cells — each unique cell is
-simulated exactly once and delivered to all requesters), ordered
+is one independent simulation run.  :func:`run_experiments` executes a
+batch of specs over ONE global work queue: every cell of every spec is
+collected up front and resolved from the content-addressed result
+cache (:mod:`repro.experiments.cache`) where possible; the rest are
+deduplicated by content address (figure specs that share a parameter
+grid request the same cells — each unique cell is simulated exactly
+once and delivered to all requesters), ordered
 longest-expected-cell-first so the big cells start while small ones
-backfill the stragglers, and executed on a single pool.  Journal
-identity and cache keys are exactly those of the equivalent
-per-spec :func:`run_experiment` calls, so resume and caching are
-unaffected by batching.  :func:`run_experiment` is the one-spec
-special case.
+backfill the stragglers, and executed inline or on one process pool
+at *replication* granularity.  Each configuration's replications are
+aggregated in seed order, which makes ``jobs=N`` bit-identical to an
+inline run.  :func:`run_experiment` is the one-spec case.
 
-Crash-safety (all opt-in, see :func:`run_experiment`):
+Crash-safety (all opt-in, see :func:`run_experiments`):
 
 * a :class:`~repro.experiments.journal.SweepJournal` records every
   completed cell as it lands, so an interrupted sweep can be resumed
@@ -37,11 +30,12 @@ Crash-safety (all opt-in, see :func:`run_experiment`):
 
 Execution accounting (per-configuration wall time, cache hit/miss
 counts, resumed cells, watchdog restarts, total elapsed) is reported
-through :class:`SweepStats`, available as ``result.stats`` on the
+through :class:`SweepStats`, available as ``result.stats`` on each
 returned :class:`ExperimentResult`.
 """
 
 import concurrent.futures
+import functools
 import os
 import signal
 from dataclasses import dataclass, field
@@ -57,7 +51,7 @@ from repro.experiments.cache import (
     cache_key,
     result_from_document,
 )
-from repro.experiments.journal import SweepJournal, sweep_id
+from repro.experiments.journal import SweepJournal, read_journal, sweep_id
 from repro.obs.manifest import build_manifest
 from repro.obs.metrics import summarize_snapshot
 
@@ -75,48 +69,34 @@ class SweepStalled(RuntimeError):
     """A sweep cell kept exceeding its watchdog after every retry."""
 
 
-def _run_single(params):
-    """Module-level worker so process pools can pickle it."""
-    return LockingGranularityModel(params).run()
+def _run_single_timed(params, watchdog, collect, fault_plan, backoff):
+    """The sweep worker: run one cell, return ``(result, seconds, snapshot)``.
 
-
-def _run_single_timed(
-    params, timeout=None, collect=False, fault_plan=None, backoff=None
-):
-    """Worker returning ``(result, compute_seconds)`` for stats.
-
-    *timeout* is the per-replication wall-clock watchdog, enforced
-    inside the simulation kernel (see
-    :meth:`repro.des.engine.Environment.run`).
-
-    With ``collect=True`` (a metrics-enabled sweep) the cell runs
-    against a fresh in-worker
-    :class:`~repro.obs.metrics.MetricsRegistry` and the return value
-    grows to ``(result, compute_seconds, metrics_snapshot)``; the
-    parent merges the snapshot into its live registry.  The two-tuple
-    shape is preserved for plain sweeps so existing callers (and test
-    doubles) are unaffected.
-
-    *fault_plan* / *backoff* (picklable) ride along to the model for
-    faulted or backoff-ablation sweeps; both default to ``None`` and
-    plain sweeps keep the historical two-argument call shape.
+    Module-level so process pools can pickle it; :func:`run_experiments`
+    binds every argument but *params* once with :func:`functools.partial`.
+    *watchdog* is the per-replication wall-clock budget, enforced inside
+    the simulation kernel (see :meth:`repro.des.engine.Environment.run`).
+    With *collect* (a metrics-enabled sweep) the cell runs against a
+    fresh in-worker :class:`~repro.obs.metrics.MetricsRegistry` whose
+    snapshot the parent merges into its live registry; otherwise
+    *snapshot* is ``None``.  *fault_plan* / *backoff* (picklable, may be
+    ``None``) ride along to the model for faulted or backoff-ablation
+    sweeps.
     """
-    started = perf_counter()
-    if not collect:
-        result = LockingGranularityModel(
-            params, fault_plan=fault_plan, backoff=backoff
-        ).run(timeout=timeout)
-        return result, perf_counter() - started
-    from repro.obs.metrics import MetricsRegistry
+    registry = None
+    if collect:
+        from repro.obs.metrics import MetricsRegistry
 
-    registry = MetricsRegistry()
+        registry = MetricsRegistry()
+    started = perf_counter()
     result = LockingGranularityModel(
         params,
         metrics_registry=registry,
         fault_plan=fault_plan,
         backoff=backoff,
-    ).run(timeout=timeout)
-    return result, perf_counter() - started, registry.snapshot()
+    ).run(timeout=watchdog)
+    seconds = perf_counter() - started
+    return result, seconds, None if registry is None else registry.snapshot()
 
 
 def _retry_backoff(round_index):
@@ -182,7 +162,7 @@ class ConfigStats:
 
 @dataclass
 class SweepStats:
-    """Execution accounting for one :func:`run_experiment` call.
+    """Execution accounting for one spec of a :func:`run_experiments` call.
 
     Attributes
     ----------
@@ -323,7 +303,7 @@ class ExperimentResult:
 
 
 def _resolve_cache(cache):
-    """Normalise the *cache* argument of :func:`run_experiment`."""
+    """Normalise the *cache* argument of :func:`run_experiments`."""
     if cache is None:
         return ResultCache() if cache_enabled() else None
     if cache is False:
@@ -382,7 +362,6 @@ class _SweepContext:
         "cells",
         "journal",
         "journaled",
-        "resumed_results",
         "analytic",
     )
 
@@ -397,10 +376,9 @@ class _SweepContext:
         self.grid = [[None] * replications for _ in self.configs]
         self.remaining = [replications] * len(self.configs)
         self.journal = None
-        self.journaled = set()
-        #: cell key -> inline output dict read back from a resumed
-        #: faulted journal (results that never touched the cache).
-        self.resumed_results = {}
+        #: cell key -> inline output record (or ``None``) of the cells a
+        #: resumed journal had already recorded as done.
+        self.journaled = {}
         #: config index -> AnalyticPrediction for pruned configurations
         #: (populated only under ``accelerator="analytic"``).
         self.analytic = {}
@@ -416,16 +394,25 @@ class _SweepContext:
                 self.cells.append((i, r, run_params, cache_key(run_params)))
 
 
-def run_experiment(
-    spec,
+def run_experiment(spec, journal=None, **options):
+    """Execute every configuration of *spec*; one-spec :func:`run_experiments`.
+
+    *journal* is the spec's journal (a path or a
+    :class:`~repro.experiments.journal.SweepJournal`); every other
+    keyword keeps its :func:`run_experiments` meaning.  Returns the
+    spec's :class:`ExperimentResult`.
+    """
+    return run_experiments([spec], journals=[journal], **options)[0]
+
+
+def run_experiments(
+    specs,
     replications=1,
     jobs=None,
-    progress=None,
     cache=None,
     refresh=False,
     cell_progress=None,
-    manifests=True,
-    journal=None,
+    journals=None,
     resume=False,
     watchdog=None,
     watchdog_retries=2,
@@ -436,12 +423,22 @@ def run_experiment(
     fault_plan=None,
     backoff=None,
 ):
-    """Execute every configuration of *spec*.
+    """Execute a batch of specs over ONE global work queue.
+
+    Cells shared between specs (same content address — e.g. figure
+    grids that overlap) are simulated once and delivered to every
+    requesting spec.  The first requester is reported with source
+    ``"run"`` and owns the cache write; the others see source
+    ``"shared"``.  Both count toward ``stats.runs``, so
+    ``cache_misses == runs`` holds per spec.  Pending cells run
+    longest-expected-cell-first (``tmax * npros * ntrans``), so
+    expensive cells start early and cheap ones backfill idle workers
+    near the end of the queue.
 
     Parameters
     ----------
-    spec:
-        The experiment definition.
+    specs:
+        The experiment definitions.
     replications:
         Independent replications per configuration (seeds increment).
     jobs:
@@ -449,15 +446,14 @@ def run_experiment(
         process pool fans individual replication runs out.  Results
         are aggregated in seed order either way, so ``jobs=N`` is
         bit-identical to an inline run.
-    progress:
-        Optional callable ``progress(done, total)`` invoked whenever a
-        configuration (all its replications) finishes.
     cache:
         ``None`` uses the default on-disk cache (``results/.cache``;
         honour ``REPRO_CACHE_DIR``, disable globally with
         ``REPRO_CACHE=0``); ``False`` bypasses caching entirely; a
         :class:`~repro.experiments.cache.ResultCache` instance is used
-        as given.
+        as given.  Every newly stored result gets a provenance
+        manifest (params hash, seed, git SHA, model version, wall time
+        — see :mod:`repro.obs.manifest`) next to it.
     refresh:
         Ignore existing cache entries, re-simulate everything and
         overwrite them (the ``--refresh`` escape hatch).
@@ -465,23 +461,22 @@ def run_experiment(
         Optional callable ``cell_progress(done, total, info)`` invoked
         once per (configuration, replication) cell as it resolves —
         cache hits during the initial scan, simulated runs as they
-        complete (in completion order under a pool).  *info* is a dict
-        with ``config`` (index), ``replication``, ``label``,
-        ``source`` (``"cache"`` or ``"run"``) and ``seconds``
-        (compute time; ``None`` for hits).  This is the live-progress
-        hook: a long sweep reports every finished replication instead
-        of going dark until a whole configuration completes.
-    manifests:
-        When caching is active, write a provenance manifest (params
-        hash, seed, git SHA, model version, wall time — see
-        :mod:`repro.obs.manifest`) next to every newly stored result.
-    journal:
-        Optional :class:`~repro.experiments.journal.SweepJournal` (or
-        a path string) recording every completed cell as it lands —
-        the crash-safety log that makes *resume* possible.
+        complete (in completion order under a pool).  ``done`` and
+        ``total`` count across the whole batch.  *info* is a dict with
+        ``spec`` (the requesting spec's key), ``config`` (index),
+        ``replication``, ``label``, ``source`` (``"cache"``,
+        ``"run"``, ``"shared"`` or ``"analytic"``) and ``seconds``
+        (compute time; ``None`` except for ``"run"``).
+    journals:
+        Optional list aligned with *specs* of
+        :class:`~repro.experiments.journal.SweepJournal` objects, paths
+        or ``None`` (not journalled).  A journal records every
+        completed cell of its spec as it lands — the crash-safety log
+        that makes *resume* possible.  Each spec keeps its own journal
+        identity, exactly as if it had been run alone.
     resume:
-        Reuse a journal left by an interrupted run of the *same*
-        sweep: previously journalled cells resolve from the cache and
+        Reuse journals left by an interrupted run of the *same*
+        sweeps: previously journalled cells resolve from the cache and
         are counted in ``stats.resumed``.  A journal belonging to a
         different sweep is discarded automatically.
     watchdog:
@@ -496,10 +491,10 @@ def run_experiment(
     drain_signals:
         Convert SIGINT/SIGTERM into a graceful drain: stop submitting
         work, let in-flight cells finish (bounded by
-        :data:`DRAIN_GRACE_SECONDS`), flush the journal, then raise
+        :data:`DRAIN_GRACE_SECONDS`), flush the journals, then raise
         ``KeyboardInterrupt``.
     accelerator:
-        ``"analytic"`` prunes the sweep with the mean-value model
+        ``"analytic"`` prunes each sweep with the mean-value model
         (:mod:`repro.analytic.mva`): only the cells the
         :mod:`~repro.experiments.accelerator` plan marks — curve
         endpoints, the predicted optimum and its neighbours,
@@ -543,6 +538,8 @@ def run_experiment(
         Like *fault_plan*, a non-default policy disables the cache
         for the whole call.
 
+    Returns a list of :class:`ExperimentResult`, aligned with *specs*.
+
     Raises
     ------
     Exception
@@ -554,72 +551,7 @@ def run_experiment(
         retry.
     KeyboardInterrupt
         With *drain_signals*, after a signal-triggered drain has
-        flushed the journal.
-    """
-    return run_experiments(
-        [spec],
-        replications=replications,
-        jobs=jobs,
-        progress=progress,
-        cache=cache,
-        refresh=refresh,
-        cell_progress=cell_progress,
-        manifests=manifests,
-        journals=[journal],
-        resume=resume,
-        watchdog=watchdog,
-        watchdog_retries=watchdog_retries,
-        drain_signals=drain_signals,
-        accelerator=accelerator,
-        metrics=metrics,
-        metrics_snapshot=metrics_snapshot,
-        fault_plan=fault_plan,
-        backoff=backoff,
-    )[0]
-
-
-def run_experiments(
-    specs,
-    replications=1,
-    jobs=None,
-    progress=None,
-    cache=None,
-    refresh=False,
-    cell_progress=None,
-    manifests=True,
-    journals=None,
-    resume=False,
-    watchdog=None,
-    watchdog_retries=2,
-    drain_signals=False,
-    accelerator=None,
-    metrics=None,
-    metrics_snapshot=None,
-    fault_plan=None,
-    backoff=None,
-):
-    """Execute a batch of specs over ONE global work queue.
-
-    Every parameter keeps its :func:`run_experiment` meaning; the
-    differences of the batched form are:
-
-    * *journals* is a list aligned with *specs* (``None`` entries for
-      specs that should not be journalled); each spec keeps its own
-      journal identity, exactly as if it had been run alone.
-    * cells shared between specs (same content address — e.g. figure
-      grids that overlap) are simulated once and delivered to every
-      requesting spec.  The first requester is reported with source
-      ``"run"`` and owns the cache write; the others see source
-      ``"shared"``.  Both count toward ``stats.runs`` so
-      ``cache_misses == runs`` holds per spec.
-    * pending cells are ordered longest-expected-cell-first
-      (``tmax * npros * ntrans``), so expensive cells start early and
-      cheap ones backfill idle workers near the end of the queue.
-    * ``progress(done, total)`` / ``cell_progress(done, total, info)``
-      count globally across the batch, and *info* gains a ``"spec"``
-      key with the requesting spec's key.
-
-    Returns a list of :class:`ExperimentResult`, aligned with *specs*.
+        flushed the journals.
     """
     if replications < 1:
         raise ValueError(
@@ -673,9 +605,7 @@ def run_experiments(
             }
             ctx.stats.accelerator = accelerator
     total_cells = sum(len(ctx.cells) for ctx in contexts)
-    total_configs = sum(len(ctx.configs) for ctx in contexts)
     done_cells = 0
-    done_configs = 0
     sweep_inst = None
     snapshot_writer = None
     if metrics is not None:
@@ -723,7 +653,6 @@ def run_experiments(
             )
 
     def finish_config(ctx, i):
-        nonlocal done_configs
         prediction = ctx.analytic.get(i)
         # A pruned configuration's outcome IS its prediction (it
         # mimics the ReplicatedResult read surface); everything else
@@ -731,9 +660,6 @@ def run_experiments(
         ctx.outcomes[i] = (
             prediction if prediction is not None else aggregate(ctx.grid[i])
         )
-        done_configs += 1
-        if progress is not None:
-            progress(done_configs, total_configs)
 
     for ctx, journal in zip(contexts, journals):
         if isinstance(journal, (str, os.PathLike)):
@@ -747,9 +673,7 @@ def run_experiments(
                 + ([fault_plan.digest()] if faulted else [])
             )
             if resume:
-                ctx.journaled = journal.load(sid)
-                if faulted:
-                    ctx.resumed_results = journal.load_results(sid)
+                ctx.journaled = read_journal(journal.path, sid)["done"]
             journal.begin(
                 sid,
                 len(ctx.cells),
@@ -781,13 +705,11 @@ def run_experiments(
             hit = None
             if cache is not None and not refresh:
                 hit = cache.get(run_params)
-            elif key in ctx.resumed_results and not refresh:
+            elif ctx.journaled.get(key) is not None and not refresh:
                 # Faulted resume: rebuild the result from the journal's
                 # inline output record (the cache never saw it).
                 try:
-                    hit = result_from_document(
-                        run_params, ctx.resumed_results[key]
-                    )
+                    hit = result_from_document(run_params, ctx.journaled[key])
                 except KeyError:
                     hit = None  # written before a field existed
             if hit is not None:
@@ -825,7 +747,7 @@ def run_experiments(
     #: gauge (populated once the worker count is chosen, below).
     exec_state = {"started": None, "workers": 0}
 
-    def deliver(job, result, seconds, queue_wait, snapshot=None):
+    def deliver(job, result, seconds, queue_wait, snapshot):
         nonlocal busy_seconds, jobs_remaining, journalled
         busy_seconds += seconds
         jobs_remaining -= 1
@@ -849,21 +771,20 @@ def run_experiments(
                 config_stats.seconds += seconds
                 if cache is not None:
                     cache.put(job.run_params, result)
-                    if manifests:
-                        cache.put_manifest(
+                    cache.put_manifest(
+                        job.run_params,
+                        build_manifest(
                             job.run_params,
-                            build_manifest(
-                                job.run_params,
-                                cache_hit=False,
-                                wall_seconds=seconds,
-                                model_version=cache.model_version,
-                                metrics=(
-                                    summarize_snapshot(snapshot)
-                                    if snapshot is not None
-                                    else None
-                                ),
+                            cache_hit=False,
+                            wall_seconds=seconds,
+                            model_version=cache.model_version,
+                            metrics=(
+                                summarize_snapshot(snapshot)
+                                if snapshot is not None
+                                else None
                             ),
-                        )
+                        ),
+                    )
             if ctx.journal is not None:
                 if faulted:
                     # No cache to resume from: journal the full output
@@ -902,39 +823,33 @@ def run_experiments(
     if sweep_inst is not None:
         sweep_inst.queue_depth.set(jobs_remaining)
 
-    if jobs is None:
-        jobs = 0
+    worker = functools.partial(
+        _run_single_timed,
+        watchdog=watchdog,
+        collect=metrics is not None,
+        fault_plan=fault_plan,
+        backoff=backoff,
+    )
+    pooled = jobs is not None and jobs > 1
     workers = 0
-    collect = metrics is not None
+    if queue:
+        workers = min(jobs, os.cpu_count() or 1, len(queue)) if pooled else 1
+    exec_state["workers"] = workers
+    if sweep_inst is not None and workers:
+        sweep_inst.workers.set(workers)
     drain = _SignalDrain().install() if drain_signals else None
     exec_started = perf_counter()
     exec_state["started"] = exec_started
     try:
-        if queue and jobs <= 1:
-            workers = 1
-            exec_state["workers"] = workers
-            if sweep_inst is not None:
-                sweep_inst.workers.set(workers)
-            _run_inline(
-                queue, deliver, mark_restart, drain, watchdog,
-                watchdog_retries, collect, fault_plan, backoff,
-            )
-        elif queue:
-            workers = min(jobs, os.cpu_count() or 1, len(queue)) or 1
-            exec_state["workers"] = workers
-            if sweep_inst is not None:
-                sweep_inst.workers.set(workers)
+        if pooled:
             _run_pooled(
-                queue,
-                deliver,
-                mark_restart,
-                drain,
-                watchdog,
+                queue, worker, workers, deliver, mark_restart, drain,
+                watchdog, watchdog_retries,
+            )
+        else:
+            _run_inline(
+                queue, worker, deliver, mark_restart, drain, watchdog,
                 watchdog_retries,
-                workers,
-                collect,
-                fault_plan,
-                backoff,
             )
         for ctx in contexts:
             if ctx.journal is not None:
@@ -977,20 +892,16 @@ def _stalled_error(job, watchdog, attempts):
 
 
 def _run_inline(
-    queue, deliver, mark_restart, drain, watchdog, watchdog_retries,
-    collect=False, fault_plan=None, backoff=None,
+    queue, worker, deliver, mark_restart, drain, watchdog, watchdog_retries
 ):
     """Execute the job *queue* in this process, one job at a time."""
-    extra = ()
-    if collect or fault_plan is not None or backoff is not None:
-        extra = (collect, fault_plan, backoff)
     for job in queue:
         if drain is not None and drain.tripped:
             raise KeyboardInterrupt
         attempt = 0
         while True:
             try:
-                payload = _run_single_timed(job.run_params, watchdog, *extra)
+                result, seconds, snapshot = worker(job.run_params)
                 break
             except SimulationStalled:
                 attempt += 1
@@ -998,59 +909,29 @@ def _run_inline(
                 if attempt > watchdog_retries:
                     raise _stalled_error(job, watchdog, attempt) from None
                 sleep(_retry_backoff(attempt))
-        snapshot = payload[2] if len(payload) > 2 else None
-        deliver(job, payload[0], payload[1], 0.0, snapshot)
+        deliver(job, result, seconds, 0.0, snapshot)
 
 
 def _run_pooled(
-    queue, deliver, mark_restart, drain, watchdog, watchdog_retries,
-    max_workers, collect=False, fault_plan=None, backoff=None,
-):
-    """Fan the job *queue* out over worker pools, retrying stalls.
-
-    Each *round* runs the outstanding jobs on one pool.  Jobs that
-    stall (in-worker watchdog) or whose workers are terminated by the
-    harness-level guard are collected and re-run on a fresh pool in
-    the next round, after a capped exponential backoff — up to
-    *watchdog_retries* attempts per job, then :class:`SweepStalled`.
-    """
-    attempts = {}
-    outstanding = list(queue)
-    round_index = 0
-    while outstanding:
-        if round_index:
-            sleep(_retry_backoff(round_index))
-        outstanding = _pool_round(
-            outstanding,
-            deliver,
-            mark_restart,
-            drain,
-            watchdog,
-            watchdog_retries,
-            max_workers,
-            attempts,
-            collect,
-            fault_plan,
-            backoff,
-        )
-        round_index += 1
-
-
-def _pool_round(
-    queue,
-    deliver,
-    mark_restart,
-    drain,
-    watchdog,
+    queue, worker, workers, deliver, mark_restart, drain, watchdog,
     watchdog_retries,
-    max_workers,
-    attempts,
-    collect=False,
-    fault_plan=None,
-    backoff=None,
 ):
-    """Run one pool over the job *queue*; returns the jobs to retry."""
-    retry = []
+    """Fan the job *queue* out over *workers* processes, retrying stalls.
+
+    Each *round* runs the outstanding jobs on one fresh pool.  Jobs
+    that stall (in-worker watchdog) or whose workers are terminated by
+    the harness-level guard are re-run in the next round, after a
+    capped exponential backoff — up to *watchdog_retries* attempts per
+    job, then :class:`SweepStalled`.
+    """
+    # The harness guard only fires when workers are wedged past the
+    # in-worker timeout (e.g. stuck outside the run loop), so it sits
+    # well above the watchdog itself.
+    hard_limit = None if watchdog is None else max(2.0 * watchdog, watchdog + 5.0)
+    needs_polling = watchdog is not None or drain is not None
+    attempts = {}
+    retry = list(queue)
+    round_index = 0
 
     def mark_stalled(job):
         mark_restart(job)
@@ -1059,83 +940,73 @@ def _pool_round(
             raise _stalled_error(job, watchdog, attempts[job.seq])
         retry.append(job)
 
-    pool = concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(max_workers, len(queue))
-    )
-    futures = {}
-    submitted = {}
-    extra = ()
-    if collect or fault_plan is not None or backoff is not None:
-        extra = (collect, fault_plan, backoff)
-    for job in queue:
-        future = pool.submit(
-            _run_single_timed, job.run_params, watchdog, *extra
+    while retry:
+        outstanding, retry = retry, []
+        if round_index:
+            sleep(_retry_backoff(round_index))
+        round_index += 1
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(outstanding))
         )
-        futures[future] = job
-        submitted[future] = perf_counter()
-    not_done = set(futures)
-    # The harness guard only fires when workers are wedged past the
-    # in-worker timeout (e.g. stuck outside the run loop), so it sits
-    # well above the watchdog itself.
-    hard_limit = None if watchdog is None else max(2.0 * watchdog, watchdog + 5.0)
-    needs_polling = watchdog is not None or drain is not None
-    last_progress = perf_counter()
-    draining_since = None
-    try:
-        while not_done:
-            if drain is not None and drain.tripped and draining_since is None:
-                draining_since = perf_counter()
-                for future in not_done:
-                    future.cancel()
-            done, not_done = concurrent.futures.wait(
-                not_done,
-                timeout=0.2 if needs_polling else None,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            for future in done:
-                if future.cancelled():
-                    continue  # drained before it started
-                job = futures[future]
-                try:
-                    payload = future.result()
-                except SimulationStalled:
-                    mark_stalled(job)
-                else:
-                    seconds = payload[1]
-                    # Queue wait is measured parent-side (the worker
-                    # function stays the plain picklable
-                    # _run_single_timed): time from submission to the
-                    # result landing, minus the compute itself.  That
-                    # includes pool hand-off overhead, which is exactly
-                    # the idle cost occupancy should see.
-                    wait = max(
-                        0.0,
-                        perf_counter() - submitted[future] - seconds,
-                    )
-                    snapshot = payload[2] if len(payload) > 2 else None
-                    deliver(job, payload[0], seconds, wait, snapshot)
-                last_progress = perf_counter()
-            if draining_since is not None:
+        # future -> (job, submission time)
+        submitted = {
+            pool.submit(worker, job.run_params): (job, perf_counter())
+            for job in outstanding
+        }
+        not_done = set(submitted)
+        last_progress = perf_counter()
+        draining_since = None
+        try:
+            while not_done:
+                if drain is not None and drain.tripped and draining_since is None:
+                    draining_since = perf_counter()
+                    for future in not_done:
+                        future.cancel()
+                done, not_done = concurrent.futures.wait(
+                    not_done,
+                    timeout=0.2 if needs_polling else None,
+                    return_when=concurrent.futures.FIRST_COMPLETED,
+                )
+                for future in done:
+                    if future.cancelled():
+                        continue  # drained before it started
+                    job, submitted_at = submitted[future]
+                    try:
+                        result, seconds, snapshot = future.result()
+                    except SimulationStalled:
+                        mark_stalled(job)
+                    else:
+                        # Queue wait is measured parent-side: time from
+                        # submission to the result landing, minus the
+                        # compute itself.  That includes pool hand-off
+                        # overhead, which is exactly the idle cost
+                        # occupancy should see.
+                        wait = max(
+                            0.0, perf_counter() - submitted_at - seconds
+                        )
+                        deliver(job, result, seconds, wait, snapshot)
+                    last_progress = perf_counter()
+                if draining_since is not None:
+                    if (
+                        not not_done
+                        or perf_counter() - draining_since
+                        > DRAIN_GRACE_SECONDS
+                    ):
+                        _terminate_pool(pool)
+                        raise KeyboardInterrupt
+                    continue
                 if (
-                    not not_done
-                    or perf_counter() - draining_since > DRAIN_GRACE_SECONDS
+                    hard_limit is not None
+                    and not_done
+                    and not done
+                    and perf_counter() - last_progress > hard_limit
                 ):
+                    # No completion for well past the in-worker budget:
+                    # the workers are wedged.  Kill them and re-queue
+                    # whatever they were running on a fresh pool.
                     _terminate_pool(pool)
-                    raise KeyboardInterrupt
-                continue
-            if (
-                hard_limit is not None
-                and not_done
-                and not done
-                and perf_counter() - last_progress > hard_limit
-            ):
-                # No completion for well past the in-worker budget:
-                # the workers are wedged.  Kill them and re-queue
-                # whatever they were running on a fresh pool.
-                _terminate_pool(pool)
-                for future in not_done:
-                    mark_stalled(futures[future])
-                return retry
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return retry
+                    for future in not_done:
+                        mark_stalled(submitted[future][0])
+                    break
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)

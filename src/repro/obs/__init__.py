@@ -80,7 +80,7 @@ from repro.obs.sinks import (
 )
 from repro.obs.telemetry import Telemetry
 from repro.obs.timeseries import TimeSeriesRecorder
-from repro.obs.top import TopMonitor, read_journal, render_frame, run_top
+from repro.obs.top import TopMonitor, render_frame, run_top
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -110,7 +110,6 @@ __all__ = [
     "load_trace",
     "parse_prometheus_text",
     "prometheus_text",
-    "read_journal",
     "read_snapshot",
     "render_frame",
     "report_json",

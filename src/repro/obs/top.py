@@ -1,8 +1,9 @@
 """``repro-locking top``: a live terminal dashboard for running sweeps.
 
 The monitor is a pure *reader*: it tails the sweep's crash-safe
-journal (cells done / pruned / pending) and, when present, the
-periodic metrics snapshot file written next to it
+journal (cells done / pruned / pending, through the same
+:func:`~repro.experiments.journal.read_journal` that resume uses) and,
+when present, the periodic metrics snapshot file written next to it
 (``<journal>.metrics.json`` by default) for the live counters — events
 dispatched, worker occupancy, queue depth, lock-wait quantiles, top
 contended granules, abort causes.  It never touches the sweep process,
@@ -15,7 +16,6 @@ owns the refresh loop, the ANSI clear-and-home redraw and the
 rate/ETA estimation.
 """
 
-import json
 import math
 from time import sleep
 from time import time as wall_time
@@ -32,49 +32,6 @@ _RATE_ALPHA = 0.3
 def default_snapshot_path(journal_path):
     """Where a metrics-enabled sweep writes snapshots for this journal."""
     return "{}.metrics.json".format(journal_path)
-
-
-def read_journal(path):
-    """Tolerantly parse a sweep journal into a progress dict.
-
-    Returns ``{"sweep", "label", "cells", "done", "analytic",
-    "finished"}`` (``cells`` may be ``None`` for a missing/foreign
-    header).  Torn trailing lines — the normal state of a journal
-    being appended to — are skipped, exactly as the resume loader
-    does.
-    """
-    state = {
-        "sweep": None,
-        "label": None,
-        "cells": None,
-        "done": 0,
-        "analytic": 0,
-        "finished": False,
-    }
-    try:
-        with open(path) as handle:
-            lines = handle.read().splitlines()
-    except OSError:
-        return state
-    for index, line in enumerate(lines):
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            continue  # torn mid-append write
-        if not isinstance(entry, dict):
-            continue
-        if index == 0 and "sweep" in entry:
-            state["sweep"] = entry.get("sweep")
-            state["label"] = entry.get("label")
-            state["cells"] = entry.get("cells")
-            continue
-        if "done" in entry:
-            state["done"] += 1
-            if entry.get("provenance") == "analytic":
-                state["analytic"] += 1
-        if entry.get("finished"):
-            state["finished"] = True
-    return state
 
 
 # -- snapshot accessors --------------------------------------------------
@@ -161,7 +118,7 @@ def render_frame(
     Parameters
     ----------
     journal:
-        A :func:`read_journal` dict.
+        A :func:`repro.experiments.journal.read_journal` state.
     metrics:
         The ``metrics`` mapping of a snapshot document (or ``None``
         when the sweep runs without ``--metrics``).
@@ -181,7 +138,7 @@ def render_frame(
     lines.append(title)
 
     cells = journal.get("cells")
-    done = journal.get("done", 0)
+    done = len(journal.get("done", ()))
     analytic = journal.get("analytic", 0)
     if cells:
         pending = max(0, cells - done)
@@ -278,12 +235,16 @@ class TopMonitor:
 
     def frame(self, now=None):
         """Read journal + snapshot and render the current frame."""
+        # Lazy: importing the experiments package loads the sweep
+        # harness, which ``import repro.obs`` must not pull in.
+        from repro.experiments.journal import read_journal
+
         now = wall_time() if now is None else now
         journal = read_journal(self.journal_path)
         document = read_snapshot(self.snapshot_path)
         metrics = document.get("metrics") if document else None
 
-        done = journal.get("done", 0)
+        done = len(journal["done"])
         if self._last_time is not None and now > self._last_time:
             delta = now - self._last_time
             instant = max(0, done - (self._last_done or 0)) / delta

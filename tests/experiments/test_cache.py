@@ -280,15 +280,6 @@ class TestRunExperimentCaching:
         for a, b in zip(first.outcomes, second.outcomes):
             assert a.as_dict() == b.as_dict()
 
-    def test_progress_fires_per_config_on_warm_cache(self, tiny_spec, cache):
-        run_experiment(tiny_spec, cache=cache)
-        seen = []
-        run_experiment(
-            tiny_spec, cache=cache,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
-
     def test_warm_cache_pool_matches_inline(self, tiny_spec, cache):
         inline = run_experiment(tiny_spec, replications=2, cache=cache)
         pooled = run_experiment(tiny_spec, replications=2, jobs=2, cache=cache)

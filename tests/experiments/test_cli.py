@@ -1,5 +1,7 @@
 """Integration tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -79,7 +81,7 @@ class TestParser:
         assert args.command == "faults"
         assert args.mttf == 50.0
         assert args.mttr == 5.0
-        assert args.ltot_grid == "10,100"
+        assert args.ltot_grid == (10, 100)
         assert args.backoff == "jittered"
         assert args.replications == 2
         assert args.npros == 2
@@ -162,10 +164,6 @@ class TestExecution:
         code = main(["run", "table1", "--tmax", "60", "--plot"])
         assert code == 0
         assert "log x" in capsys.readouterr().out
-
-    def test_run_unknown_exhibit_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "fig99"])
 
     def test_run_warm_cache_skips_simulation(self, capsys, tmp_path):
         argv = ["run", "table1", "--quick", "--cache-dir", str(tmp_path)]
@@ -368,7 +366,7 @@ class TestAnalyticVerbs:
         )
         assert args.command == "predict"
         assert args.ltot == 100
-        assert args.ltot_grid == "1,10,100"
+        assert args.ltot_grid == (1, 10, 100)
 
     def test_crossval_flags_parse(self):
         args = build_parser().parse_args(
@@ -525,13 +523,61 @@ class TestBadInput:
             (["tune", "--dbsize", "0"], "dbsize must be >= 1"),
             (["sensitivity", "--npros", "0"], "npros must be >= 1"),
             (["predict", "--ntrans", "0"], "ntrans must be >= 1"),
+            (
+                ["run", "table1", "--replications", "0"],
+                "argument --replications: must be an integer >= 1, got '0'",
+            ),
+            (["run", "table1", "--tmax", "-5"], "tmax must be > 0, got -5.0"),
+            (["run", "fig99"], "unknown exhibit 'fig99'"),
+            (
+                ["faults", "--ltot-grid", "abc"],
+                "argument --ltot-grid: invalid int grid: 'abc'",
+            ),
+            (
+                ["crossval", "--ltot-grid", "x,y"],
+                "argument --ltot-grid: invalid int grid: 'x,y'",
+            ),
+            (
+                ["predict", "--ltot-grid", "x"],
+                "argument --ltot-grid: invalid int grid: 'x'",
+            ),
+            (
+                ["tune", "--replications", "0"],
+                "argument --replications: must be an integer >= 1, got '0'",
+            ),
+            (
+                ["sensitivity", "--replications", "0"],
+                "argument --replications: must be an integer >= 1, got '0'",
+            ),
+            (
+                ["compare", "nofile.csv", "nofile2.csv"],
+                "cannot read nofile.csv: No such file or directory",
+            ),
+            (
+                ["report", "nofile.jsonl"],
+                "cannot read nofile.jsonl: No such file or directory",
+            ),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, argv, message):
-        assert main(argv) == 2
+        """Bad values exit 2 with one ``error:`` line and no traceback.
+
+        Usage errors caught by argparse exit through ``SystemExit``,
+        after the usage text, with the line prefixed by the verb.
+        """
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert message in captured.err
+        assert captured.err.startswith(("error: ", "usage: "))
+        assert re.search(
+            r"^(repro-locking \w+: )?error: .*" + re.escape(message),
+            captured.err,
+            re.MULTILINE,
+        ), captured.err
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_invalid_trace_parameters_write_nothing(self, capsys, tmp_path):

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.experiments.journal import SweepJournal
+from repro.experiments.journal import read_journal
 
 #: Sweep driver executed in the child process.  The horizon is chosen
 #: so each of the 4 cells takes on the order of a second: long enough
@@ -111,16 +111,16 @@ def test_sigint_leaves_valid_journal_and_resume_is_bit_identical(tmp_path):
     # The journal must be a valid prefix: a parsable header, at least
     # one completed cell, and no clean-completion marker.
     header = json.loads(journal.read_text().splitlines()[0])
-    done = SweepJournal(journal).load(header["sweep"])
+    done = read_journal(journal, header["sweep"])["done"]
     assert 1 <= len(done) < header["cells"] == 4
-    assert not SweepJournal(journal).finished(header["sweep"])
+    assert not read_journal(journal, header["sweep"])["finished"]
 
     # Resume: must finish cleanly, crediting the journalled cells.
     proc = _spawn(tmp_path, cache_dir, journal, out, resume="1")
     assert proc.wait(timeout=300) == 0
     resumed = json.loads(out.read_text())
     assert resumed["resumed"] == len(done)
-    assert SweepJournal(journal).finished(header["sweep"])
+    assert read_journal(journal, header["sweep"])["finished"]
 
     # Control: the same sweep uninterrupted on a fresh cache.
     clean_out = tmp_path / "clean.json"

@@ -4,9 +4,20 @@ import json
 
 import pytest
 
-from repro.experiments.journal import SweepJournal, sweep_id
+from repro.experiments.journal import SweepJournal, read_journal, sweep_id
 
 KEYS = ["k1", "k2", "k3"]
+SID = sweep_id(KEYS)
+
+#: What :func:`read_journal` returns for a missing, empty or foreign file.
+EMPTY = {
+    "sweep": None,
+    "label": None,
+    "cells": None,
+    "done": {},
+    "analytic": 0,
+    "finished": False,
+}
 
 
 @pytest.fixture
@@ -35,8 +46,9 @@ class TestLifecycle:
         journal.record("k1")
         journal.record("k2")
         journal.close()
-        assert journal.load(sid) == {"k1", "k2"}
-        assert journal.finished(sid) is False
+        state = read_journal(journal.path, sid)
+        assert state["done"] == {"k1": None, "k2": None}
+        assert state["finished"] is False
 
     def test_finish_marks_clean_end(self, journal):
         sid = sweep_id(KEYS)
@@ -45,8 +57,9 @@ class TestLifecycle:
             journal.record(key)
         journal.finish()
         journal.close()
-        assert journal.finished(sid) is True
-        assert journal.load(sid) == set(KEYS)
+        state = read_journal(journal.path, sid)
+        assert state["finished"] is True
+        assert set(state["done"]) == set(KEYS)
 
     def test_context_manager_closes(self, tmp_path):
         sid = sweep_id(KEYS)
@@ -54,7 +67,7 @@ class TestLifecycle:
             journal.begin(sid, len(KEYS))
             journal.record("k1")
         assert journal._handle is None
-        assert journal.load(sid) == {"k1"}
+        assert set(read_journal(journal.path, sid)["done"]) == {"k1"}
 
     def test_creates_parent_directories(self, tmp_path):
         journal = SweepJournal(tmp_path / "deep" / "nested" / "s.journal")
@@ -71,36 +84,128 @@ class TestLifecycle:
         assert header == {"sweep": sid, "cells": 3, "label": "fig2"}
 
 
+def _clean(journal):
+    journal.begin(SID, len(KEYS), label="tiny")
+    for key in KEYS:
+        journal.record(key)
+    journal.finish()
+
+
+def _torn_tail(journal):
+    journal.begin(SID, len(KEYS))
+    journal.record("k1")
+    journal.close()
+    with open(journal.path, "a") as handle:
+        handle.write('{"done": "k2')  # the crash artefact
+
+
+def _torn_middle_then_finished(journal):
+    _torn_tail(journal)
+    journal.begin(SID, len(KEYS), keep=True)  # the resumed run
+    journal.record("k2")
+    journal.record("k3")
+    journal.finish()
+
+
+def _foreign_header(journal):
+    journal.begin("aaaa", 3)
+    journal.record("k1")
+    journal.finish()
+
+
+def _non_dict_lines(journal):
+    journal.begin(SID, len(KEYS))
+    journal.record("k1")
+    journal.close()
+    with open(journal.path, "a") as handle:
+        handle.write('[1, 2]\n"text"\n42\nnull\n{"done": ["k2"]}\n')
+    journal.begin(SID, len(KEYS), keep=True)
+    journal.finish()
+
+
+def _faulted_inline_results(journal):
+    journal.begin(SID, len(KEYS))
+    journal.record("k1", result={"throughput": 0.1, "totcom": 3})
+    journal.record("k2", result={"throughput": 0.2, "totcom": 4})
+
+
+def _analytic_provenance(journal):
+    journal.begin(SID, len(KEYS), label="fig2")
+    journal.record("k1", provenance="analytic")
+    journal.record("k2")
+    journal.finish()
+
+
+#: name -> (writer, fields of the expected state that differ from a
+#: bare ``SID`` header with ``cells == 3``).
+READER_CASES = {
+    "clean": (
+        _clean,
+        {"label": "tiny", "done": dict.fromkeys(KEYS), "finished": True},
+    ),
+    "torn-tail": (_torn_tail, {"done": {"k1": None}}),
+    "torn-middle-then-finished": (
+        _torn_middle_then_finished,
+        {"done": dict.fromkeys(KEYS), "finished": True},
+    ),
+    "foreign-header": (
+        _foreign_header,
+        {"sweep": "aaaa", "done": {"k1": None}, "finished": True},
+    ),
+    "non-dict-lines": (
+        _non_dict_lines, {"done": {"k1": None}, "finished": True}
+    ),
+    "faulted-inline-results": (
+        _faulted_inline_results,
+        {
+            "done": {
+                "k1": {"throughput": 0.1, "totcom": 3},
+                "k2": {"throughput": 0.2, "totcom": 4},
+            },
+        },
+    ),
+    "analytic-provenance": (
+        _analytic_provenance,
+        {
+            "label": "fig2",
+            "done": {"k1": None, "k2": None},
+            "analytic": 1,
+            "finished": True,
+        },
+    ),
+}
+
+
+class TestReadJournal:
+    @pytest.mark.parametrize("case", list(READER_CASES))
+    def test_reader(self, journal, case):
+        """``top`` reads the whole state; resume reads it only when the
+        header names the sweep being resumed."""
+        write, fields = READER_CASES[case]
+        write(journal)
+        journal.close()
+        expected = dict(EMPTY, sweep=SID, cells=3)
+        expected.update(fields)
+        assert read_journal(journal.path) == expected
+        assert read_journal(journal.path, SID) == (
+            expected if expected["sweep"] == SID else EMPTY
+        )
+
+
 class TestTolerantLoading:
     def test_missing_file_is_empty(self, journal):
-        assert journal.load("whatever") == set()
-        assert journal.finished("whatever") is False
-
-    def test_torn_final_line_is_skipped(self, journal):
-        sid = sweep_id(KEYS)
-        journal.begin(sid, len(KEYS))
-        journal.record("k1")
-        journal.close()
-        with open(journal.path, "a") as handle:
-            handle.write('{"done": "k2')  # the crash artefact
-        assert journal.load(sid) == {"k1"}
-
-    def test_other_sweep_journal_is_discarded(self, journal):
-        journal.begin("aaaa", 3)
-        journal.record("k1")
-        journal.close()
-        assert journal.load("bbbb") == set()
-        assert journal.finished("bbbb") is False
+        assert read_journal(journal.path) == EMPTY
+        assert read_journal(journal.path, "whatever") == EMPTY
 
     def test_garbage_header_is_empty(self, journal, tmp_path):
         with open(journal.path, "w") as handle:
             handle.write("not json at all\n")
-        assert journal.load("aaaa") == set()
+        assert read_journal(journal.path, "aaaa") == EMPTY
 
     def test_empty_file_is_empty(self, journal):
         open(journal.path, "w").close()
-        assert journal.load("aaaa") == set()
-        assert journal.finished("aaaa") is False
+        assert read_journal(journal.path) == EMPTY
+        assert read_journal(journal.path, "aaaa") == EMPTY
 
 
 class TestResumeSemantics:
@@ -112,7 +217,7 @@ class TestResumeSemantics:
         journal.begin(sid, len(KEYS), keep=True)
         journal.record("k2")
         journal.close()
-        assert journal.load(sid) == {"k1", "k2"}
+        assert set(read_journal(journal.path, sid)["done"]) == {"k1", "k2"}
 
     def test_keep_rewrites_on_sweep_mismatch(self, journal):
         journal.begin("aaaa", 3)
@@ -122,8 +227,8 @@ class TestResumeSemantics:
         journal.begin(other, len(KEYS), keep=True)
         journal.record("k2")
         journal.close()
-        assert journal.load(other) == {"k2"}
-        assert journal.load("aaaa") == set()
+        assert set(read_journal(journal.path, other)["done"]) == {"k2"}
+        assert read_journal(journal.path, "aaaa") == EMPTY
 
     def test_fresh_begin_truncates(self, journal):
         sid = sweep_id(KEYS)
@@ -132,7 +237,7 @@ class TestResumeSemantics:
         journal.close()
         journal.begin(sid, len(KEYS))  # keep defaults to False
         journal.close()
-        assert journal.load(sid) == set()
+        assert read_journal(journal.path, sid)["done"] == {}
 
     def test_record_before_begin_is_a_noop(self, journal):
         journal.record("k1")  # no handle yet: must not raise

@@ -81,7 +81,7 @@ class TestBatchedQueue:
         run_experiments(
             [_spec("a"), _spec("b", tmax=60.0)],
             cache=False,
-            progress=lambda done, total: ticks.append((done, total)),
+            cell_progress=lambda done, total, info: ticks.append((done, total)),
         )
         assert ticks == [(i + 1, 8) for i in range(8)]
 
@@ -139,9 +139,9 @@ class TestQueueOrdering:
         started = []
         real = runner_module._run_single_timed
 
-        def spying(params, timeout=None):
+        def spying(params, **options):
             started.append((params.tmax, params.npros))
-            return real(params, timeout)
+            return real(params, **options)
 
         monkeypatch.setattr(runner_module, "_run_single_timed", spying)
         spec = _spec("order")

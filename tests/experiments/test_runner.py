@@ -9,7 +9,7 @@ from repro.core.parameters import SimulationParameters
 from repro.des.errors import SimulationStalled
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentSpec
-from repro.experiments.journal import SweepJournal
+from repro.experiments.journal import SweepJournal, read_journal
 from repro.experiments.runner import (
     ExperimentResult,
     SweepStalled,
@@ -20,14 +20,14 @@ from repro.experiments.runner import (
 )
 
 
-def _failing_worker(params, timeout=None):
+def _failing_worker(params, **options):
     """Module-level replacement worker (process pools must pickle it)."""
     if params.ltot == 20:
         raise RuntimeError("injected failure ltot=20")
-    return _run_single_timed(params)
+    return _run_single_timed(params, **options)
 
 
-def _always_stalling_worker(params, timeout=None):
+def _always_stalling_worker(params, **options):
     """Module-level stalling worker (process pools must pickle it)."""
     raise SimulationStalled("injected stall")
 
@@ -38,11 +38,11 @@ class _StallOnceWorker:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, params, timeout=None):
+    def __call__(self, params, **options):
         self.calls += 1
         if self.calls == 1:
             raise SimulationStalled("injected stall")
-        return _run_single_timed(params)
+        return _run_single_timed(params, **options)
 
 
 @pytest.fixture
@@ -73,11 +73,6 @@ class TestRunExperiment:
     def test_replications_aggregate(self, tiny_spec):
         result = run_experiment(tiny_spec, replications=2)
         assert all(len(outcome) == 2 for outcome in result.outcomes)
-
-    def test_progress_callback(self, tiny_spec):
-        seen = []
-        run_experiment(tiny_spec, progress=lambda done, total: seen.append((done, total)))
-        assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_cell_progress_fires_per_replication(self, tiny_spec):
         seen = []
@@ -126,16 +121,6 @@ class TestRunExperiment:
             assert manifest["cache_hit"] is False
             assert manifest["seed"] == params.seed
             assert manifest["wall_seconds"] > 0
-
-    def test_manifests_opt_out(self, tiny_spec, tmp_path):
-        from repro.experiments.cache import ResultCache
-
-        cache = ResultCache(root=tmp_path / "cache")
-        run_experiment(tiny_spec, cache=cache, manifests=False)
-        assert all(
-            cache.get_manifest(params) is None
-            for params in tiny_spec.configurations()
-        )
 
     def test_parallel_matches_serial(self, tiny_spec):
         serial = run_experiment(tiny_spec)
@@ -217,9 +202,10 @@ class TestJournalledSweeps:
         )
         assert resumed.stats.resumed == 2
         assert resumed.stats.cache_hits == 4  # the rest still hit the cache
-        assert SweepJournal(journal_path).finished(
-            json.loads(journal_path.read_text().splitlines()[0])["sweep"]
-        )
+        assert read_journal(
+            journal_path,
+            json.loads(journal_path.read_text().splitlines()[0])["sweep"],
+        )["finished"]
 
     def test_without_resume_journal_is_rewritten(self, tiny_spec, tmp_path):
         journal_path = tmp_path / "tiny.journal"

@@ -19,11 +19,11 @@ from repro.obs.exporters import (
     prometheus_text,
     read_snapshot,
 )
+from repro.experiments.journal import read_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.top import (
     TopMonitor,
     default_snapshot_path,
-    read_journal,
     render_frame,
     run_top,
 )
@@ -203,19 +203,21 @@ def test_read_journal_counts_cells_and_tolerates_torn_tail(tmp_path):
     state = read_journal(path)
     assert state == {
         "sweep": "abcd1234ef", "label": "fig2", "cells": 6,
-        "done": 3, "analytic": 1, "finished": False,
+        "done": {"cell-0": None, "cell-1": None, "acell-0": None},
+        "analytic": 1, "finished": False,
     }
 
 
 def test_read_journal_missing_file_is_empty_state(tmp_path):
     state = read_journal(str(tmp_path / "nope.journal"))
     assert state["cells"] is None
-    assert state["done"] == 0
+    assert state["done"] == {}
 
 
 def test_render_frame_shows_progress_and_metrics():
     journal = {"sweep": "abcd1234ef", "label": "fig2", "cells": 10,
-               "done": 4, "analytic": 1, "finished": False}
+               "done": dict.fromkeys("abcd"), "analytic": 1,
+               "finished": False}
     metrics = _sample_registry().snapshot()
     frame = render_frame(journal, metrics, rate=2.0,
                          events_per_second=123456.0)
@@ -232,7 +234,7 @@ def test_render_frame_shows_progress_and_metrics():
 
 
 def test_render_frame_without_metrics_points_at_the_flag():
-    frame = render_frame({"label": "fig2", "cells": 4, "done": 0,
+    frame = render_frame({"label": "fig2", "cells": 4, "done": {},
                           "analytic": 0, "finished": False})
     assert "--metrics" in frame
 
@@ -273,7 +275,7 @@ def test_top_monitor_derives_rates_across_frames(tmp_path):
     events.inc(9000)
     SnapshotWriter(snapshot, registry).maybe_write(force=True)
     frame, state = monitor.frame(now=102.0)
-    assert state["done"] == 6
+    assert len(state["done"]) == 6
     assert "4,500 ev/s" in frame
     # rate = 4 cells / 2s = 2/s; 2 pending -> ETA 1s.
     assert "ETA 1s" in frame
