@@ -13,7 +13,7 @@ they only trip on a real regression, not on a slow CI runner.
 """
 
 from conftest import smoke_run
-from repro.des import Environment, ProfiledEnvironment
+from repro.des import Environment
 
 #: Concurrently running processes in the process benchmark.
 N_PROCESSES = 10
@@ -107,39 +107,3 @@ def test_kernel_process_throughput(benchmark):
     rate = _events_per_second(benchmark, N_EVENTS)
     if rate is not None and not smoke_run():
         assert rate > MIN_PROCESS_RATE, "kernel regression: {:.0f} ev/s".format(rate)
-
-
-def test_kernel_self_profile(benchmark):
-    """Kernel self-profiling: counters reported via extra_info.
-
-    Runs the ticker workload once on a :class:`ProfiledEnvironment`
-    and records what the kernel saw — events dispatched, peak heap
-    population, the event-type mix and the kernel's own events/sec —
-    so a profile of the run loop ships with every benchmark report.
-    The profiled kernel is a subclass; the assertions double as a
-    check that its accounting agrees with the workload's shape.
-    """
-    per_process = N_EVENTS // N_PROCESSES
-
-    def profiled_run():
-        env = ProfiledEnvironment()
-        for _ in range(N_PROCESSES):
-            env.process(_ticker(env, per_process))
-        env.run()
-        return env
-
-    env = benchmark.pedantic(profiled_run, rounds=1, iterations=1)
-    stats = env.kernel_stats()
-    # Each ticker contributes per_process timeouts, one Initialize and
-    # one terminal Process event.
-    assert stats.events_dispatched == N_PROCESSES * (per_process + 2)
-    assert stats.event_type_counts["Timeout"] == N_PROCESSES * per_process
-    assert stats.event_type_counts["Initialize"] == N_PROCESSES
-    assert stats.heap_peak >= N_PROCESSES
-    assert stats.heap_length == 0
-    if stats.events_per_second:
-        benchmark.extra_info["profiled_events_per_second"] = round(
-            stats.events_per_second
-        )
-    benchmark.extra_info["heap_peak"] = stats.heap_peak
-    benchmark.extra_info["event_type_counts"] = dict(stats.event_type_counts)

@@ -1199,7 +1199,12 @@ def _command_sensitivity(args):
 
 def _command_trace(args):
     from repro.core.model import MODEL_VERSION, LockingGranularityModel
-    from repro.obs import JsonlTraceSink, Telemetry, build_manifest, write_manifest
+    from repro.obs import (
+        JsonlTraceSink,
+        TimeSeriesRecorder,
+        build_manifest,
+        write_manifest,
+    )
 
     params = _build_params(args)
     sink = JsonlTraceSink(
@@ -1208,11 +1213,17 @@ def _command_trace(args):
         model_version=MODEL_VERSION,
         seed=params.seed,
     )
-    telemetry = Telemetry(sink=sink, sample_interval=args.sample_interval)
     started = time.perf_counter()
-    result = LockingGranularityModel(params, telemetry=telemetry).run()
+    model = LockingGranularityModel(params, trace=sink)
+    recorder = None
+    if args.sample_interval > 0:
+        recorder = TimeSeriesRecorder(args.sample_interval)
+        recorder.install(model)
+    result = model.run()
     wall = time.perf_counter() - started
-    telemetry.finish(
+    if recorder is not None:
+        recorder.export(sink)
+    sink.close(
         totcom=result.totcom,
         throughput=result.throughput,
         wall_seconds=round(wall, 4),

@@ -51,14 +51,9 @@ class MetricsCollector:
 
     With a non-zero warmup the collector snapshots machine busy time at
     the warmup instant and discards completions and response samples
-    observed before it.
-
-    *instruments* is an optional live-metrics bundle
-    (:class:`repro.obs.metrics.RunInstruments`).  Its updates happen
-    *before* the warmup gate: the live view reports what the run is
-    doing now, while the paper's reported outputs stay
-    warmup-filtered.  Every instrument call is guarded by one
-    ``is not None`` branch, so the un-instrumented path is unchanged.
+    observed before it.  (Live, unfiltered views of the run — the
+    Prometheus instruments, the trace — subscribe to the model's emit
+    stream instead; see :meth:`repro.core.model.LockingGranularityModel.emit`.)
     """
 
     def __init__(
@@ -67,7 +62,6 @@ class MetricsCollector:
         params,
         machine,
         conflicts=None,
-        instruments=None,
         cluster=None,
         network=None,
     ):
@@ -75,36 +69,20 @@ class MetricsCollector:
         self.params = params
         self.machine = machine
         self.conflicts = conflicts
-        self.instruments = instruments
         self.cluster = cluster
         self.network = network
-        self.response = Tally("response")
-        self.attempts = Tally("attempts")
-        #: Per-completion response times in completion order; feed
-        #: these to repro.stats.batch_means_ci for a single-run CI.
-        self.response_samples = []
         self.pending = TimeWeighted(env, name="pending")
         self.blocked = TimeWeighted(env, name="blocked")
         self.active = TimeWeighted(env, name="active")
         #: Locks concurrently held — the lock table's occupancy, i.e.
         #: the storage requirement the paper's introduction motivates.
         self.locks_held = TimeWeighted(env, name="locks_held")
-        self.completions = 0
-        self.lock_requests = 0
-        self.lock_denials = 0
-        self.deadlock_aborts = 0
-        self.failure_aborts = 0
-        self.degraded_completions = 0
-        self.commit_aborts = 0
-        self.commit_latency = Tally("commit_latency")
         # Per-class breakdowns only exist for multi-class runs, so the
         # single-class result payload (and its cache digest) is
         # byte-identical to the historical format.
         mix = params.workload_mix
         self._class_names = mix.names if mix is not None else ()
-        self.class_stats = {
-            name: _ClassStats(name) for name in self._class_names
-        }
+        self._reset_outputs()
         self._warmup_busy = BusySnapshot(0.0, 0.0, 0.0, 0.0)
         self._warmup_downtime = 0.0
         self._warmup_degraded = 0.0
@@ -129,8 +107,15 @@ class MetricsCollector:
                 self.network.messages_sent,
                 self.network.messages_dropped,
             )
+        self._reset_outputs()
+        self._measuring = True
+
+    def _reset_outputs(self):
+        """Zero the warmup-gated outputs (at start and at the warmup)."""
         self.response = Tally("response")
         self.attempts = Tally("attempts")
+        #: Per-completion response times in completion order; feed
+        #: these to repro.stats.batch_means_ci for a single-run CI.
         self.response_samples = []
         self.completions = 0
         self.lock_requests = 0
@@ -143,91 +128,59 @@ class MetricsCollector:
         self.class_stats = {
             name: _ClassStats(name) for name in self._class_names
         }
-        self._measuring = True
 
     # -- event hooks -----------------------------------------------------
 
+    def note_population(self):
+        """Resample the active-transaction and held-lock populations."""
+        conflicts = self.conflicts
+        self.active.update(conflicts.active_count)
+        self.locks_held.update(conflicts.locks_held)
+
     def note_request(self):
         """A lock request was issued (first attempt or retry)."""
-        if self.instruments is not None:
-            self.instruments.lock_requests.inc()
         if self._measuring:
             self.lock_requests += 1
 
     def note_denial(self):
         """A lock request was denied."""
-        if self.instruments is not None:
-            self.instruments.lock_denials.inc()
         if self._measuring:
             self.lock_denials += 1
 
-    def note_abort(self, cause="deadlock", txn=None):
+    def note_abort(self, txn=None):
         """A transaction attempt was aborted on a conflict.
 
-        *cause* is the protocol's reason string (``"deadlock"``,
-        ``"wounded"``, ``"no-waiting"``); it feeds the live
-        aborts-by-cause counter only — the paper's ``deadlock_aborts``
-        output keeps counting every conflict abort as before.  *txn*
-        (when given and classed) additionally charges the abort to
-        the transaction's class breakdown.
+        The paper's ``deadlock_aborts`` output counts every conflict
+        abort, whatever the protocol's reason; *txn* (when given and
+        classed) additionally charges the abort to the transaction's
+        class breakdown.
         """
-        cls = getattr(txn, "class_name", None)
-        if self.instruments is not None:
-            self.instruments.note_abort(cause)
-            if cls is not None:
-                self.instruments.note_class_abort(cls, cause)
         if self._measuring:
             self.deadlock_aborts += 1
+            cls = getattr(txn, "class_name", None)
             if cls is not None and cls in self.class_stats:
                 self.class_stats[cls].aborts += 1
 
     def note_failure_abort(self):
         """A transaction was aborted by a processor crash."""
-        if self.instruments is not None:
-            self.instruments.note_abort("fault")
         if self._measuring:
             self.failure_aborts += 1
 
-    def note_commit_abort(self, reason):
+    def note_commit_abort(self):
         """A distributed commit was presumed aborted (will retry)."""
-        if self.instruments is not None:
-            self.instruments.note_commit_event("abort")
-            self.instruments.note_abort(reason)
         if self._measuring:
             self.commit_aborts += 1
 
     def note_commit_latency(self, latency):
         """A distributed commit decision landed after *latency*."""
-        if self.instruments is not None:
-            self.instruments.note_commit_event("commit")
-            self.instruments.observe_commit_latency(latency)
         if self._measuring:
             self.commit_latency.observe(latency)
 
-    def note_degraded_mode(self):
-        """A writer hit the minority-partition read-only mode."""
-        if self.instruments is not None:
-            self.instruments.note_commit_event("degraded")
-
-    def note_election(self):
-        """A primary-copy failover election completed."""
-        if self.instruments is not None:
-            self.instruments.note_commit_event("election")
-
     def note_completion(self, txn):
         """A transaction finished and released its locks."""
-        cls = txn.class_name
-        if self.instruments is not None:
-            self.instruments.commits.inc()
-            if txn.attempts > 1:
-                self.instruments.restarts.inc(txn.attempts - 1)
-            self.instruments.response.observe(self.env.now - txn.arrival)
-            if cls is not None:
-                self.instruments.note_class_completion(
-                    cls, txn.attempts - 1, self.env.now - txn.arrival
-                )
         if not self._measuring:
             return
+        cls = txn.class_name
         if cls is not None and cls in self.class_stats:
             stats = self.class_stats[cls]
             stats.completions += 1

@@ -8,7 +8,7 @@ phase (cc), workload, placement, partitioning, conflict resolution —
 is delegated to a named policy resolved through :mod:`repro.policies`
 (see DESIGN.md §8 for the layer map).  The model owns only what every
 policy composition shares: the kernel, the machine, the random
-streams, the metrics, the trace plumbing and the fork/join execution
+streams, the metrics, the emit stream and the fork/join execution
 of granted transactions.
 """
 
@@ -65,17 +65,20 @@ class LockingGranularityModel:
 
     Optional extras: ``trace`` (any sink with
     ``emit(time, kind, subject, **details)`` — receives every
-    lifecycle, lock-manager and scheduler event), ``size_sampler``
-    (any ``sample(rng) -> int``, replaces the workload's size
-    distribution), ``telemetry`` (never touches a random stream, so
-    results are unchanged), ``fault_plan`` (inert when ``None`` or
-    empty, otherwise drives crashes/slowdowns/stalls from its own
+    lifecycle, lock-manager, scheduler, fault and message event),
+    ``size_sampler`` (any ``sample(rng) -> int``, replaces the
+    workload's size distribution), ``fault_plan`` (inert when ``None``
+    or empty, otherwise drives crashes/slowdowns/stalls from its own
     streams), ``backoff`` (the default reproduces the historical
     ``uniform(0, 1)`` draw bit-for-bit) and ``metrics_registry`` (a
     :class:`repro.obs.metrics.MetricsRegistry`; live counters, gauges
-    and lock-wait histograms updated as the run progresses — the
-    instrumentation never schedules events or draws randomness, so
-    results are bit-identical with metrics on or off).
+    and lock-wait histograms derived from the same emit stream).
+
+    Every observer is a *view* of one stream: :meth:`emit` and
+    :meth:`emit_system` stamp the clock and hand each record to every
+    view in :attr:`views`.  Views never schedule events or draw
+    randomness, so results are bit-identical with any set of views
+    attached; with none, an emit costs one ``None`` check.
     """
 
     def __init__(
@@ -83,24 +86,12 @@ class LockingGranularityModel:
         params,
         trace=None,
         size_sampler=None,
-        telemetry=None,
         fault_plan=None,
         backoff=None,
         metrics_registry=None,
     ):
         params.validate()
         self.params = params
-        self.telemetry = telemetry
-        sinks = [trace]
-        if telemetry is not None and telemetry.sink is not None:
-            sinks.append(telemetry.sink)
-        sinks = [sink for sink in sinks if sink is not None]
-        if len(sinks) > 1:
-            from repro.obs.sinks import MultiSink
-
-            self.trace = MultiSink(sinks)
-        else:
-            self.trace = sinks[0] if sinks else None
         self.env = Environment()
         streams = RandomStreams(params.seed)
         self.rngs = {name: streams.stream(name) for name in _STREAMS}
@@ -126,7 +117,7 @@ class LockingGranularityModel:
             self.cluster = None
         if fault_plan is not None and fault_plan.enabled():
             self._injector = FaultInjector(
-                self.env, self.machine, fault_plan, params.seed, trace=self.trace
+                self.env, self.machine, fault_plan, params.seed
             )
             self._injector.network = self.network
         else:
@@ -162,26 +153,8 @@ class LockingGranularityModel:
         )
         self.conflicts = make_conflict_engine(params, streams.stream("conflict"))
         policy = make_admission_policy(params)
-        if metrics_registry is not None:
-            # Imported directly (not via repro.obs, whose __init__
-            # pulls the SVG/report stack) and only when instrumented.
-            from repro.obs.metrics import RunInstruments
-
-            self.instruments = RunInstruments(metrics_registry, params)
-            self.instruments.attach_kernel(self.env)
-            manager = getattr(self.conflicts, "manager", None)
-            if manager is not None:
-                manager.metrics = self.instruments
-                self.instruments.attach_lock_table(manager)
-            if self._injector is not None:
-                self._injector.metrics = self.instruments
-            if self.network is not None:
-                self.network.instruments = self.instruments
-        else:
-            self.instruments = None
         self.metrics = MetricsCollector(
             self.env, params, self.machine, self.conflicts,
-            instruments=self.instruments,
             cluster=self.cluster, network=self.network,
         )
         self.admission = AdmissionGate(policy, self.env, self.metrics)
@@ -191,13 +164,30 @@ class LockingGranularityModel:
         self._tid = count(1)
         #: blocker tid -> events to succeed when that blocker completes.
         self.blocked_wakes = {}
-        if self.trace is not None:
-            # The layers below are clock-less; these hooks stamp the
-            # current time onto their contention/scheduling events.
-            manager = getattr(self.conflicts, "manager", None)
+        views = [] if trace is None else [trace]
+        manager = getattr(self.conflicts, "manager", None)
+        if metrics_registry is not None:
+            # Imported directly (not via repro.obs, whose __init__
+            # pulls the SVG/report stack) and only when instrumented.
+            from repro.obs.metrics import RunInstruments
+
+            views.append(
+                RunInstruments(metrics_registry, params, self.env, manager)
+            )
+        #: The observers of this run's emit stream (``None``: none).
+        self.views = tuple(views) or None
+        #: record kind -> the views that consume it (filled lazily).
+        self._routes = {}
+        if self.views is not None:
+            # The layers below are clock-less; their one hook is the
+            # model's clock-stamped emit.
             if manager is not None:
-                manager.observer = self._lock_observer
-            policy.notify = self._policy_observer
+                manager.emit = self.emit
+            policy.emit = self.emit_system
+            if self._injector is not None:
+                self._injector.emit = self.emit_system
+            if self.network is not None:
+                self.network.emit = self.emit_system
         self._finished = False
 
     # -- public API ------------------------------------------------------
@@ -212,8 +202,6 @@ class LockingGranularityModel:
         """
         if self._finished:
             raise RuntimeError("model instances are single-use; build a new one")
-        if self.telemetry is not None:
-            self.telemetry.install(self)
         if self._injector is not None:
             self._injector.install()
         self.arrivals.start(self)
@@ -257,33 +245,42 @@ class LockingGranularityModel:
             txn_class=cls,
         )
 
-    # -- trace plumbing ----------------------------------------------------
+    # -- the emit stream ---------------------------------------------------
 
     def emit(self, kind, txn, **details):
-        """Record a lifecycle event for *txn* (no-op without a sink)."""
-        if self.trace is not None:
-            self.trace.emit(self.env.now, kind, txn.tid, **details)
+        """Record a lifecycle event for *txn* (no-op without views).
+
+        Each record goes to the views that consume its kind: a view
+        may declare ``kinds`` (the record kinds it folds in), and
+        records no view consumes stop here after one dict lookup.
+        """
+        if self.views is not None:
+            views = self._routes.get(kind)
+            if views is None:
+                views = self._route(kind)
+            if views:
+                now = self.env.now
+                tid = txn.tid
+                for view in views:
+                    view.emit(now, kind, tid, **details)
 
     def emit_system(self, kind, **details):
-        """Record a cluster/system event (subject 0, like the injector's)."""
-        if self.trace is not None:
-            self.trace.emit(self.env.now, kind, 0, **details)
+        """Record a cluster/system event (subject 0)."""
+        if self.views is not None:
+            views = self._routes.get(kind)
+            if views is None:
+                views = self._route(kind)
+            now = self.env.now
+            for view in views:
+                view.emit(now, kind, 0, **details)
 
-    def _lock_observer(self, kind, owner, **details):
-        """Lock-manager contention events, stamped with the clock.
-
-        ``lock_queue`` is reported as the lifecycle kind ``block``
-        (the table-backed counterpart of preclaim's post-denial block).
-        """
-        if kind == "lock_queue":
-            kind = "block"
-        self.trace.emit(
-            self.env.now, kind, getattr(owner, "tid", owner), **details
+    def _route(self, kind):
+        """The views consuming *kind* (computed once per kind)."""
+        self._routes[kind] = views = tuple(
+            view for view in self.views
+            if getattr(view, "kinds", None) is None or kind in view.kinds
         )
-
-    def _policy_observer(self, kind, **details):
-        """Admission-policy transitions (system events, subject 0)."""
-        self.trace.emit(self.env.now, kind, 0, **details)
+        return views
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -291,7 +288,9 @@ class LockingGranularityModel:
         """The full life of one transaction (an arrival policy spawns
         one of these per arriving transaction)."""
         txn.arrival = self.env.now
-        self.emit("arrive", txn, nu=txn.nu, locks=txn.lock_count)
+        # Multi-class arrivals carry their class (``cls``) for the views.
+        classed = {} if txn.txn_class is None else {"cls": txn.class_name}
+        self.emit("arrive", txn, nu=txn.nu, locks=txn.lock_count, **classed)
         yield from self.admission.admit(txn)
         self.emit("admit", txn)
         while True:
@@ -302,8 +301,7 @@ class LockingGranularityModel:
                 # lock-management work.
                 yield from self.cc.fault_abort(txn, down.index)
                 continue
-            self.metrics.active.update(self.conflicts.active_count)
-            self.metrics.locks_held.update(self.conflicts.locks_held)
+            self.metrics.note_population()
             if (yield from self._execute(txn)):
                 if (yield from self.cc.post_execute(txn)):
                     if (yield from self.commit.commit(txn)):
@@ -374,8 +372,7 @@ class LockingGranularityModel:
         self.emit("commit", txn, attempts=txn.attempts)
         self.conflicts.release(txn)
         self.emit("complete", txn, response=self.env.now - txn.arrival)
-        self.metrics.active.update(self.conflicts.active_count)
-        self.metrics.locks_held.update(self.conflicts.locks_held)
+        self.metrics.note_population()
         self.metrics.note_completion(txn)
         self.wake_waiters(txn)
         self.admission.on_complete()

@@ -1,11 +1,9 @@
 """The simulation environment: clock, event scheduler, and run loop."""
 
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter
-from typing import Dict, Optional
 
 from repro.des.errors import (
     EmptySchedule,
@@ -19,42 +17,17 @@ from repro.des.process import _TICK, Process
 
 @dataclass
 class KernelStats:
-    """Self-profiling snapshot of one environment's run loop.
-
-    ``heap_peak``, ``run_seconds``, ``events_per_second`` and
-    ``event_type_counts`` are only populated by
-    :class:`ProfiledEnvironment`; the base environment keeps the hot
-    path free of that bookkeeping and reports ``None`` for them.
-    """
+    """Snapshot of one environment's run loop (cheap counters only)."""
 
     events_dispatched: int
     heap_length: int
-    heap_peak: Optional[int] = None
-    run_seconds: Optional[float] = None
-    events_per_second: Optional[float] = None
-    event_type_counts: Optional[Dict[str, int]] = None
 
     def as_dict(self):
-        """Plain dict with the unpopulated fields omitted.
-
-        Key order is fixed (declaration order) and the event-type
-        counts are sorted by type name, so two snapshots of the same
-        state serialise identically — the property the perf-regression
-        harness relies on when diffing ``BENCH_*.json`` files.
-        """
-        row = {
+        """Plain dict in declaration order."""
+        return {
             "events_dispatched": self.events_dispatched,
             "heap_length": self.heap_length,
         }
-        for name in ("heap_peak", "run_seconds", "events_per_second"):
-            value = getattr(self, name)
-            if value is not None:
-                row[name] = value
-        if self.event_type_counts is not None:
-            row["event_type_counts"] = dict(
-                sorted(self.event_type_counts.items())
-            )
-        return row
 
 
 class Environment:
@@ -368,126 +341,6 @@ class Environment:
     def any_of(self, events):
         """Race: event that succeeds when any of *events* succeeds."""
         return AnyOf(self, events)
-
-
-class ProfiledEnvironment(Environment):
-    """An :class:`Environment` with full kernel self-profiling.
-
-    On top of the base dispatch counter it tracks the peak heap size,
-    wall-clock seconds spent inside :meth:`run` (and therefore
-    events/second), and how many events of each type were processed
-    (``Timeout``, ``Process``, ``Initialize``, ... — bare callbacks
-    scheduled through :meth:`Environment.schedule_callback` are
-    counted as ``Callback``).  That bookkeeping costs a few percent of
-    raw event throughput, so it lives in a subclass and the production
-    simulation keeps the plain kernel.
-    """
-
-    __slots__ = ("_heap_peak", "_type_counts", "_run_seconds")
-
-    def __init__(self, initial_time=0.0):
-        super().__init__(initial_time)
-        self._heap_peak = 0
-        self._type_counts = Counter()
-        self._run_seconds = 0.0
-
-    def schedule(self, event, delay=0.0, priority=NORMAL):
-        """Schedule *event*, tracking the peak heap population."""
-        if delay < 0:
-            raise ValueError("negative delay {}".format(delay))
-        heap = self._heap
-        heappush(heap, (self._now + delay, priority, next(self._eid), event))
-        if len(heap) > self._heap_peak:
-            self._heap_peak = len(heap)
-
-    def schedule_callback(self, fn, delay=0.0, priority=NORMAL):
-        """Schedule a bare callback, tracking the peak heap population."""
-        super().schedule_callback(fn, delay, priority)
-        if len(self._heap) > self._heap_peak:
-            self._heap_peak = len(self._heap)
-
-    def schedule_tick(self, proc, delay):
-        """Schedule a bare-delay tick, tracking the peak heap population."""
-        super().schedule_tick(proc, delay)
-        if len(self._heap) > self._heap_peak:
-            self._heap_peak = len(self._heap)
-
-    def step(self):
-        """Process the next entry, counting it by event type."""
-        try:
-            when, _, eid, event = heappop(self._heap)
-        except IndexError:
-            raise EmptySchedule("no scheduled events") from None
-        self._now = when
-        if event.__class__ is Process and event._target is _TICK:
-            # Bare-delay sleeps dispatch the process itself; count them
-            # under their own label (stale ticks included — they cost a
-            # dispatch slot just like an orphaned Timeout would).
-            self._type_counts["Tick"] += 1
-            self._tick(event, eid)
-            return
-        try:
-            callbacks = event.callbacks
-        except AttributeError:
-            self._type_counts["Callback"] += 1
-            event()
-            return
-        self._type_counts[type(event).__name__] += 1
-        event.callbacks = None
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter(event)
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
-
-    def _dispatch(self, stop_at, timeout):
-        """Counted loop over :meth:`step` (slower, fully profiled)."""
-        heap = self._heap
-        step = self.step
-        deadline = None if timeout is None else perf_counter() + timeout
-        dispatched = 0
-        try:
-            while heap and heap[0][0] <= stop_at:
-                step()
-                dispatched += 1
-                if deadline is not None and not dispatched & 1023:
-                    if perf_counter() >= deadline:
-                        raise SimulationStalled(
-                            "wall-clock timeout ({}s) exhausted at "
-                            "t={}".format(timeout, self._now),
-                            stats=KernelStats(
-                                events_dispatched=self._dispatched
-                                + dispatched,
-                                heap_length=len(heap),
-                            ),
-                        )
-        finally:
-            self._dispatched += dispatched
-
-    def run(self, until=None, timeout=None):
-        """Run as the base class does, accumulating wall-clock time."""
-        started = perf_counter()
-        try:
-            return super().run(until, timeout=timeout)
-        finally:
-            self._run_seconds += perf_counter() - started
-
-    def kernel_stats(self):
-        """Full :class:`KernelStats` snapshot."""
-        rate = (
-            self._dispatched / self._run_seconds if self._run_seconds else None
-        )
-        return KernelStats(
-            events_dispatched=self._dispatched,
-            heap_length=len(self._heap),
-            heap_peak=self._heap_peak,
-            run_seconds=self._run_seconds,
-            events_per_second=rate,
-            event_type_counts=dict(self._type_counts),
-        )
 
 
 def _stop_on_event(event):

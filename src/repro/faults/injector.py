@@ -28,21 +28,23 @@ class FaultInjector:
     seed:
         Fallback seed when the plan carries none (normally the run's
         own seed, so one seed reproduces workload *and* faults).
-    trace:
-        Optional trace sink; fault transitions are emitted as system
-        events (subject 0): ``proc_crash``, ``proc_recover``,
-        ``disk_slow``, ``disk_recover``, ``lockmgr_stall``,
-        ``lockmgr_resume``.
+
+    Attributes
+    ----------
+    emit:
+        Optional hook ``emit(kind, **details)`` (the model's
+        clock-stamped system emit, set when the run has views); fault
+        transitions are reported through it as ``proc_crash``,
+        ``proc_recover``, ``disk_slow``, ``disk_recover``,
+        ``lockmgr_stall``, ``lockmgr_resume``, ``partition``,
+        ``heal``, ``link_delay`` and ``link_recover``.
     """
 
-    def __init__(self, env, machine, plan, seed, trace=None):
+    def __init__(self, env, machine, plan, seed):
         self.env = env
         self.machine = machine
         self.plan = plan
-        self.trace = trace
-        #: Optional live-metrics bundle (set by the model after
-        #: construction); fault transitions then count by kind.
-        self.metrics = None
+        self.emit = None
         #: Optional cluster network (set by the model for distributed
         #: runs); partition/link-delay specs are skipped without one.
         self.network = None
@@ -77,10 +79,8 @@ class FaultInjector:
         return [i for i in spec.processors if 0 <= i < self.machine.npros]
 
     def _emit(self, kind, **details):
-        if self.metrics is not None:
-            self.metrics.note_fault(kind)
-        if self.trace is not None:
-            self.trace.emit(self.env.now, kind, 0, **details)
+        if self.emit is not None:
+            self.emit(kind, **details)
 
     # -- fault processes -------------------------------------------------
 

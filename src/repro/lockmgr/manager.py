@@ -58,34 +58,24 @@ class LockRequest:
 class LockManager:
     """Grants, queues, and releases locks over a :class:`LockTable`.
 
-    Parameters
+    Attributes
     ----------
-    observer:
-        Optional callable ``observer(kind, owner, **details)`` invoked
-        at contention transitions: ``"lock_queue"`` when a request has
-        to wait (details: ``granule``, ``mode``, ``holders``),
+    emit:
+        Optional hook ``emit(kind, owner, **details)`` invoked at
+        contention transitions: ``"block"`` when a request has to wait
+        (details: ``granule``, ``mode``, ``holders``),
         ``"lock_promote"`` when a queued request is granted by a
         release (``granule``, ``mode``), and ``"lock_cancel"`` when a
         waiting request is withdrawn (``granule``).  Uncontended
         grants and releases are deliberately not reported — they are
         the overwhelmingly common case and carry no diagnostic value.
-        The manager has no clock; the simulation layer wraps the
-        callable to stamp the current time.
-
-    Attributes
-    ----------
-    metrics:
-        Optional live-metrics instrument bundle
-        (:class:`repro.obs.metrics.RunInstruments`); when set, the
-        manager counts grant/queue/promote/cancel/deny transitions by
-        mode.  Every call site is guarded by a single ``is not None``
-        branch so the un-instrumented path costs one comparison.
+        The manager has no clock; the simulation model installs its
+        clock-stamped emit here when the run has views.
     """
 
-    def __init__(self, observer=None):
+    def __init__(self):
         self.table = LockTable()
-        self.observer = observer
-        self.metrics = None
+        self.emit = None
         self._held = {}
 
     # -- preclaim protocol ---------------------------------------------
@@ -105,13 +95,9 @@ class LockManager:
                 continue
             for holder, held in state.holders.items():
                 if holder != owner and not compatible(held, mode):
-                    if self.metrics is not None:
-                        self.metrics.note_lock_event("deny", mode.name)
                     return holder
         for granule, mode in requests:
             self._grant(owner, granule, mode)
-            if self.metrics is not None:
-                self.metrics.note_lock_event("grant", mode.name)
         return None
 
     # -- incremental protocol --------------------------------------------
@@ -134,21 +120,15 @@ class LockManager:
             if state.grantable(owner, mode):
                 self._grant(owner, granule, mode)
                 request.status = RequestStatus.GRANTED
-                if self.metrics is not None:
-                    self.metrics.note_lock_event("grant", mode.name)
                 return request
         elif not state.waiters and state.grantable(owner, mode):
             self._grant(owner, granule, mode)
             request.status = RequestStatus.GRANTED
-            if self.metrics is not None:
-                self.metrics.note_lock_event("grant", mode.name)
             return request
         state.waiters.append(request)
-        if self.metrics is not None:
-            self.metrics.note_lock_event("queue", mode.name)
-        if self.observer is not None:
-            self.observer(
-                "lock_queue",
+        if self.emit is not None:
+            self.emit(
+                "block",
                 owner,
                 granule=granule,
                 mode=mode.name,
@@ -164,12 +144,8 @@ class LockManager:
         if state is not None and request in state.waiters:
             state.waiters.remove(request)
             request.status = RequestStatus.CANCELLED
-            if self.metrics is not None:
-                self.metrics.note_lock_event("cancel", request.mode.name)
-            if self.observer is not None:
-                self.observer(
-                    "lock_cancel", request.owner, granule=request.granule
-                )
+            if self.emit is not None:
+                self.emit("lock_cancel", request.owner, granule=request.granule)
             self._promote(request.granule)
 
     # -- release -----------------------------------------------------------
@@ -254,10 +230,8 @@ class LockManager:
             granted.append(request)
         self.table.prune(granule)
         for request in granted:
-            if self.metrics is not None:
-                self.metrics.note_lock_event("promote", request.mode.name)
-            if self.observer is not None:
-                self.observer(
+            if self.emit is not None:
+                self.emit(
                     "lock_promote",
                     request.owner,
                     granule=granule,

@@ -128,8 +128,10 @@ class Network:
         self.partition_state = None
         self.messages_sent = 0
         self.messages_dropped = 0
-        #: Optional RunInstruments sink for live message counters.
-        self.instruments = None
+        #: Optional hook ``emit(kind, **details)`` (the model's
+        #: clock-stamped system emit); every send is reported through
+        #: it as one ``message`` record.
+        self.emit = None
         #: Optional callbacks the Cluster hooks for availability accounting.
         self.on_partition = None
         self.on_heal = None
@@ -198,15 +200,18 @@ class Network:
         Reachable destinations get the message after :meth:`delay`
         time units via ``schedule_callback`` (zero Event allocations);
         *handler* (if any) is then called with the :class:`Message`.
-        Unreachable destinations drop the message at send time.
+        Unreachable destinations drop the message at send time (its
+        ``message`` record then carries ``dropped=True``).
         """
         self.messages_sent += 1
-        if self.instruments is not None:
-            self.instruments.note_message(kind)
-        if not self.reachable(src, dst):
+        delivered = self.reachable(src, dst)
+        if self.emit is not None:
+            if delivered:
+                self.emit("message", msg=kind, src=src, dst=dst)
+            else:
+                self.emit("message", msg=kind, src=src, dst=dst, dropped=True)
+        if not delivered:
             self.messages_dropped += 1
-            if self.instruments is not None:
-                self.instruments.note_message_dropped(kind)
             return False
         if handler is not None:
             message = Message(src, dst, kind, payload or {}, self.env.now)

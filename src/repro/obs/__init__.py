@@ -10,28 +10,29 @@ into an explainable artifact:
   JSONL export backend, and the schema-versioned replay loader;
 * :mod:`repro.obs.timeseries` — a sampled recorder of machine and
   population state;
-* :mod:`repro.obs.telemetry` — the bundle a model run carries;
 * :mod:`repro.obs.manifest` — run provenance records;
 * :mod:`repro.obs.report` — the ``repro report`` analysis;
-* :mod:`repro.obs.metrics` — the live metrics registry
-  (counters/gauges/histograms instrumenting kernel, lock manager,
-  transaction model and sweep harness);
+* :mod:`repro.obs.metrics` — the live metrics registry and
+  :class:`~repro.obs.metrics.RunInstruments`, the view that derives
+  counters/gauges/histograms from a run's emit stream (plus the sweep
+  harness instruments);
 * :mod:`repro.obs.exporters` — Prometheus text / JSON snapshot
   exporters and the ``--metrics-port`` HTTP endpoint;
 * :mod:`repro.obs.top` — the ``repro-locking top`` live sweep monitor.
 
-Quick tour::
+Quick tour — one emit stream, many views (a JSONL file and live
+instruments here)::
 
     from repro.core.model import LockingGranularityModel
     from repro.core.parameters import SimulationParameters
-    from repro.obs import JsonlTraceSink, Telemetry, load_trace
+    from repro.obs import JsonlTraceSink, MetricsRegistry, load_trace
 
-    telemetry = Telemetry(
-        sink=JsonlTraceSink("run.jsonl"), sample_interval=5.0
-    )
-    params = SimulationParameters(tmax=200.0)
-    result = LockingGranularityModel(params, telemetry=telemetry).run()
-    telemetry.finish()
+    with JsonlTraceSink("run.jsonl") as sink:
+        LockingGranularityModel(
+            SimulationParameters(tmax=200.0),
+            trace=sink,
+            metrics_registry=MetricsRegistry(),
+        ).run()
 
     replay = load_trace("run.jsonl")
     assert len(replay.records) > 0
@@ -71,14 +72,12 @@ from repro.obs.report import (
 from repro.obs.sinks import (
     TRACE_SCHEMA,
     JsonlTraceSink,
-    MultiSink,
     RingBufferSink,
     TraceFile,
     TraceSchemaError,
     TraceSink,
     load_trace,
 )
-from repro.obs.telemetry import Telemetry
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.top import TopMonitor, render_frame, run_top
 
@@ -88,12 +87,10 @@ __all__ = [
     "JsonlTraceSink",
     "MetricsRegistry",
     "MetricsServer",
-    "MultiSink",
     "RingBufferSink",
     "RunInstruments",
     "SnapshotWriter",
     "SweepInstruments",
-    "Telemetry",
     "TimeSeriesRecorder",
     "TopMonitor",
     "TraceFile",

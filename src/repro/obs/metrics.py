@@ -12,8 +12,9 @@ Design rules, in priority order:
    are bit-identical with metrics on or off (pinned by
    ``tests/obs/test_metrics.py``).
 2. **Disabled means free.**  A disabled registry hands every caller
-   the same shared no-op instrument, and every instrumentation site in
-   the model guards with a single ``is not None`` branch, so the kernel
+   the same shared no-op instrument, and the run-level instruments are
+   one *view* of the model's emit stream, which costs a single
+   ``is not None`` check when no view is attached, so the kernel
    process path keeps its throughput (gated by
    ``benchmarks/bench_suite.py``).
 3. **The kernel inner loop is never instrumented.**  Kernel quantities
@@ -68,9 +69,6 @@ def log_buckets(start=0.01, factor=2.0, count=16):
 #: Default edges for simulated-time quantities (lock waits, response
 #: times): 0.01 .. ~327 time units, factor-2 log scale.
 DEFAULT_TIME_BUCKETS = log_buckets(0.01, 2.0, 16)
-
-#: Default edges for small counts (attempts, chain lengths).
-DEFAULT_COUNT_BUCKETS = log_buckets(1.0, 2.0, 12)
 
 
 def metrics_enabled(environ=None):
@@ -426,10 +424,6 @@ class MetricsRegistry:
                     series.set(entry.get("value", 0))
             family.dropped += doc.get("dropped", 0)
 
-    def summary(self):
-        """Compact summary (see :func:`summarize_snapshot`)."""
-        return summarize_snapshot(self.snapshot())
-
 
 def _flatten_label(name, label_names, values):
     if not label_names:
@@ -484,22 +478,78 @@ def _finite(value):
     return value
 
 
-# -- model wiring --------------------------------------------------------
+# -- the run view ----------------------------------------------------------
+
+#: Fault-injector transitions (system records), counted by kind.
+FAULT_KINDS = (
+    "proc_crash", "proc_recover", "disk_slow", "disk_recover",
+    "lockmgr_stall", "lockmgr_resume", "partition", "heal",
+    "link_delay", "link_recover",
+)
+
+#: Record kinds that close a lock wait opened by ``block``.
+WAIT_ENDS = frozenset(("wake", "lock_promote", "abort"))
+
+
+class LockWaits:
+    """Pairs lock-wait episodes out of the emit stream.
+
+    A wait opens at a subject's ``block`` and closes at the same
+    subject's next ``wake`` (preclaim), ``lock_promote`` (lock-table
+    protocols) or ``abort`` (the waiter was killed instead — possibly
+    before it ever parked, which is a zero-length wait).  The live
+    view (:class:`RunInstruments`) and the offline
+    :func:`repro.obs.report.contention_diagnosis` both pair through
+    this one helper, so they count the same episodes.
+    """
+
+    __slots__ = ("_open",)
+
+    def __init__(self):
+        self._open = {}
+
+    def feed(self, time, kind, subject, details):
+        """Advance by one record.
+
+        Returns ``(wait, granule)`` when the record closes a wait
+        (``granule`` is ``None`` for waits without granule identity),
+        else ``None``.
+        """
+        if kind == "block":
+            self._open[subject] = (time, details.get("granule"))
+        elif kind in WAIT_ENDS:
+            started = self._open.pop(subject, None)
+            if started is not None:
+                return time - started[0], started[1]
+        return None
 
 
 class RunInstruments:
-    """The per-run instrument bundle the simulation layers update.
+    """The live-metrics view of one run's emit stream.
 
     One instance is built per :class:`LockingGranularityModel` run when
-    a registry is supplied; every layer holds pre-resolved series so a
-    hot site costs one ``None`` check plus one method call.  The
-    lock-wait histogram is labelled with the run's granularity
-    (``ltot``), which is what makes merged sweep snapshots comparable
-    *per granularity*.
+    a registry is supplied and subscribes to the model's emit stream
+    like any trace sink: :meth:`emit` dispatches each record through
+    one kind → handler table, and every family below is derived from
+    the records alone.  The lock-wait histogram is labelled with the
+    run's granularity (``ltot``), which is what makes merged sweep
+    snapshots comparable *per granularity*.
+
+    Kernel counters and lock-table populations are too hot to emit;
+    they are *polled* from *env* and *manager* (when given) at
+    snapshot time instead.
+
+    Counting rules that are not one-record-one-increment:
+
+    * a lock denial is a ``lock_deny``, or an ``abort`` not already
+      announced by the same subject's ``lock_deny`` (no-waiting emits
+      both for one denial);
+    * lock waits are paired by :class:`LockWaits`;
+    * class families key off the ``cls`` detail of ``arrive``
+      (consumed in multi-class runs only).
     """
 
-    def __init__(self, registry, params=None):
-        self.registry = registry
+    def __init__(self, registry, params=None, env=None, manager=None):
         ltot = "" if params is None else str(params.ltot)
         protocol = "" if params is None else str(params.protocol)
         counter = registry.counter
@@ -545,12 +595,6 @@ class RunInstruments:
             "Summed lock-wait time per granule (simulated time units).",
             labels=("granule",),
             max_series=128,
-        )
-        self._lock_events = counter(
-            "repro_lockmgr_events_total",
-            "Lock-manager transitions by event (grant, queue, promote, "
-            "cancel, deny) and mode.",
-            labels=("event", "mode"),
         )
         self.lock_holders = gauge(
             "repro_lock_holders", "Granted (owner, granule) pairs."
@@ -623,74 +667,135 @@ class RunInstruments:
         self.kernel_heap = gauge(
             "repro_kernel_heap_depth", "Scheduled events on the kernel heap."
         ).labels()
+        self._waits = LockWaits()
+        #: Subjects whose pending denial was counted at ``lock_deny``.
+        self._denied = set()
+        #: tid -> class name, from multi-class ``arrive`` records.
+        self._classes = {}
+        self._handlers = {
+            "lock_request": self._on_lock_request,
+            "lock_deny": self._on_lock_deny,
+            "block": self._on_wait,
+            "wake": self._on_wait,
+            "lock_promote": self._on_wait,
+            "abort": self._on_abort,
+            "retry": self._on_fault_abort,
+            "commit": self._on_commit,
+            "complete": self._on_complete,
+            "commit_abort": self._on_commit_abort,
+            "commit_decide": self._on_commit_decide,
+            "election": self._on_election,
+            "message": self._on_message,
+        }
+        for kind in FAULT_KINDS:
+            self._handlers[kind] = self._on_fault
+        if params is not None and params.workload_mix is not None:
+            self._handlers["arrive"] = self._on_arrive
+        #: The record kinds this view consumes (the model routes only
+        #: these to it).
+        self.kinds = frozenset(self._handlers)
+        table = None if manager is None else manager.table
+        registry.add_collector(lambda: self._collect(env, table))
 
-    # -- hooks called by the layers (single-branch guarded call sites) --
+    def emit(self, time, kind, subject, **details):
+        """Fold one record of the emit stream into the instruments."""
+        handler = self._handlers.get(kind)
+        if handler is not None:
+            handler(time, kind, subject, details)
 
-    def note_abort(self, cause):
-        """One aborted attempt, by cause string."""
-        self._aborts.labels(cause).inc()
+    # -- handlers (one per record kind) ----------------------------------
 
-    def note_class_abort(self, txn_class, cause):
-        """One aborted attempt of a classed transaction."""
-        self._class_aborts.labels(txn_class, cause).inc()
+    def _on_arrive(self, time, kind, subject, details):
+        cls = details.get("cls")
+        if cls is not None:
+            self._classes[subject] = cls
 
-    def note_class_completion(self, txn_class, restarts, response):
-        """A classed transaction committed (with its restart count)."""
-        self._class_commits.labels(txn_class).inc()
-        if restarts > 0:
-            self._class_restarts.labels(txn_class).inc(restarts)
-        self._class_response.labels(txn_class).observe(response)
+    def _on_lock_request(self, time, kind, subject, details):
+        self.lock_requests.inc()
+        self._denied.discard(subject)
 
-    def observe_lock_wait(self, wait, granule=None, txn_class=None):
-        """One completed lock wait of *wait* simulated time units."""
+    def _on_lock_deny(self, time, kind, subject, details):
+        self.lock_denials.inc()
+        self._denied.add(subject)
+
+    def _on_wait(self, time, kind, subject, details):
+        episode = self._waits.feed(time, kind, subject, details)
+        if episode is None:
+            return
+        wait, granule = episode
         self._lock_wait.observe(wait)
         if granule is not None:
             key = str(granule)
             self._granule_waits.labels(key).inc()
             self._granule_wait_time.labels(key).inc(wait)
-        if txn_class is not None:
-            self._class_lock_wait.labels(txn_class).observe(wait)
+        cls = self._classes.get(subject)
+        if cls is not None:
+            self._class_lock_wait.labels(cls).observe(wait)
 
-    def note_lock_event(self, event, mode):
-        """A lock-manager transition (called by :class:`LockManager`)."""
-        self._lock_events.labels(event, mode).inc()
+    def _on_abort(self, time, kind, subject, details):
+        self._on_wait(time, kind, subject, details)
+        if subject in self._denied:
+            self._denied.discard(subject)
+        else:
+            self.lock_denials.inc()
+        cause = details["reason"]
+        self._aborts.labels(cause).inc()
+        cls = self._classes.get(subject)
+        if cls is not None:
+            self._class_aborts.labels(cls, cause).inc()
 
-    def note_fault(self, kind):
-        """An injected fault transition (called by the injector)."""
+    def _on_fault_abort(self, time, kind, subject, details):
+        self._aborts.labels("fault").inc()
+
+    def _on_commit(self, time, kind, subject, details):
+        restarts = details["attempts"] - 1
+        if restarts > 0:
+            self.restarts.inc(restarts)
+            cls = self._classes.get(subject)
+            if cls is not None:
+                self._class_restarts.labels(cls).inc(restarts)
+
+    def _on_complete(self, time, kind, subject, details):
+        response = details["response"]
+        self.commits.inc()
+        self.response.observe(response)
+        cls = self._classes.pop(subject, None)
+        if cls is not None:
+            self._class_commits.labels(cls).inc()
+            self._class_response.labels(cls).observe(response)
+
+    def _on_commit_abort(self, time, kind, subject, details):
+        reason = details["reason"]
+        self._commit_events.labels("abort").inc()
+        if reason == "degraded-read-only":
+            # Primary-copy's minority-partition writer abort.
+            self._commit_events.labels("degraded").inc()
+        self._aborts.labels(reason).inc()
+
+    def _on_commit_decide(self, time, kind, subject, details):
+        self._commit_events.labels("commit").inc()
+        self._commit_latency.observe(details["latency"])
+
+    def _on_election(self, time, kind, subject, details):
+        self._commit_events.labels("election").inc()
+
+    def _on_message(self, time, kind, subject, details):
+        msg = details["msg"]
+        self._messages.labels(msg).inc()
+        if details.get("dropped"):
+            self._messages_dropped.labels(msg).inc()
+
+    def _on_fault(self, time, kind, subject, details):
         self._faults.labels(kind).inc()
 
-    def note_message(self, kind):
-        """One cluster message sent (called by :class:`Network`)."""
-        self._messages.labels(kind).inc()
+    # -- collector (polled at snapshot time; never in the hot loop) -----
 
-    def note_message_dropped(self, kind):
-        """One message dropped at a partition boundary."""
-        self._messages_dropped.labels(kind).inc()
-
-    def note_commit_event(self, event):
-        """A distributed-commit outcome (commit, abort, degraded, ...)."""
-        self._commit_events.labels(event).inc()
-
-    def observe_commit_latency(self, latency):
-        """One distributed commit decided after *latency* time units."""
-        self._commit_latency.observe(latency)
-
-    # -- collectors (polled at snapshot time; never in the hot loop) ----
-
-    def attach_kernel(self, env):
-        """Poll kernel counters (dispatch count, heap depth) on scrape."""
-
-        def collect():
+    def _collect(self, env, table):
+        """Poll the kernel counters and the lock-table populations."""
+        if env is not None:
             self._kernel_events.set(env.events_dispatched)
             self.kernel_heap.set(env.heap_depth)
-
-        self.registry.add_collector(collect)
-
-    def attach_lock_table(self, manager):
-        """Poll holder/waiter populations from the lock table on scrape."""
-        table = manager.table
-
-        def collect():
+        if table is not None:
             holders = 0
             waiters = 0
             for granule in table.locked_granules():
@@ -700,8 +805,6 @@ class RunInstruments:
                     waiters += len(state.waiters)
             self.lock_holders.set(holders)
             self.lock_waiters.set(waiters)
-
-        self.registry.add_collector(collect)
 
 
 class SweepInstruments:

@@ -11,6 +11,7 @@ import math
 from collections import Counter
 
 from repro.experiments.svg import SvgChart
+from repro.obs.metrics import LockWaits
 
 #: Sparkline glyphs, lowest to highest.
 _SPARK = "▁▂▃▄▅▆▇█"
@@ -96,7 +97,9 @@ def contention_diagnosis(tracefile, top=5, max_chain=8):
     Pairs every ``block`` with the same transaction's next resumption
     (``wake`` for preclaim, ``lock_promote`` for the table-backed
     protocols, ``abort`` when the waiter was killed instead) into wait
-    episodes, then aggregates three views:
+    episodes — through :class:`~repro.obs.metrics.LockWaits`, the same
+    pairing the live ``repro_lock_wait_time`` family uses — then
+    aggregates three views:
 
     ``granule_waits``
         Per-granule wait-time percentiles (nearest-rank p50/p95),
@@ -113,27 +116,21 @@ def contention_diagnosis(tracefile, top=5, max_chain=8):
         *max_chain* hops.  A chain ``[7, 3, 1]`` reads "7 waited on 3,
         which waited on 1".
     """
-    blocked_at = {}
+    pairing = LockWaits()
     episodes = []  # (wait, granule-or-None)
     abort_causes = Counter()
     edges = {}  # waiter tid -> Counter of blocker tids
     for record in tracefile.records:
         kind, tid, details = record.kind, record.subject, record.details
-        if kind == "block":
-            blocked_at[tid] = (record.time, details.get("granule"))
+        episode = pairing.feed(record.time, kind, tid, details)
+        if episode is not None:
+            episodes.append(episode)
+        if kind in ("block", "lock_deny"):
             blocker = details.get("blocker")
             if blocker is not None:
                 edges.setdefault(tid, Counter())[blocker] += 1
-        elif kind == "lock_deny":
-            blocker = details.get("blocker")
-            if blocker is not None:
-                edges.setdefault(tid, Counter())[blocker] += 1
-        elif kind in ("wake", "lock_promote", "abort"):
-            started = blocked_at.pop(tid, None)
-            if started is not None:
-                episodes.append((record.time - started[0], started[1]))
-            if kind == "abort":
-                abort_causes[details.get("reason", "unknown")] += 1
+        elif kind == "abort":
+            abort_causes[details.get("reason", "unknown")] += 1
 
     by_granule = {}
     for wait, granule in episodes:

@@ -2,7 +2,8 @@
 
 The simulation model emits lifecycle events through whatever object is
 passed as its ``trace`` — anything implementing the :class:`TraceSink`
-protocol (an ``emit(time, kind, subject, **details)`` method).  Two
+protocol (an ``emit(time, kind, subject, **details)`` method), one of
+the run's views of its emit stream.  Two
 backends are provided:
 
 * :class:`~repro.des.trace.Trace` — the in-memory ring buffer
@@ -46,29 +47,20 @@ class TraceSchemaError(ValueError):
 
 
 class TraceSink:
-    """Protocol stub: the interface the model emits through.
+    """Protocol stub: the interface every view of the emit stream has.
 
-    Any object with this ``emit`` signature works as a sink; this
-    class only documents the contract (duck typing is used
-    throughout — :class:`~repro.des.trace.Trace` does not inherit from
-    it).
+    Any object with this ``emit`` signature works as a sink (and as a
+    view: :class:`~repro.obs.metrics.RunInstruments` has the same
+    method); this class only documents the contract (duck typing is
+    used throughout — :class:`~repro.des.trace.Trace` does not inherit
+    from it).  A view may also set ``kinds``, the record kinds it
+    consumes; the model then routes only those kinds to it.  Sinks
+    leave it unset and receive every record.
     """
 
     def emit(self, time, kind, subject, **details):
         """Record one event."""
         raise NotImplementedError
-
-
-class MultiSink:
-    """Fan one emit stream out to several sinks."""
-
-    def __init__(self, sinks):
-        self.sinks = list(sinks)
-
-    def emit(self, time, kind, subject, **details):
-        """Forward the record to every sink."""
-        for sink in self.sinks:
-            sink.emit(time, kind, subject, **details)
 
 
 class JsonlTraceSink:

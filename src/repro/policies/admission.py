@@ -38,11 +38,12 @@ class FCFSAdmission:
         if mpl_limit < 0:
             raise ValueError("mpl_limit must be >= 0")
         self.mpl_limit = mpl_limit
-        #: Optional callable ``notify(kind, **details)`` for telemetry;
-        #: policies report scheduling transitions through it (the
-        #: adaptive policy emits ``"mpl_change"`` whenever feedback
-        #: moves its multiprogramming limit).
-        self.notify = None
+        #: Optional hook ``emit(kind, **details)`` (the model's
+        #: clock-stamped system emit); policies report scheduling
+        #: transitions through it (the adaptive policy emits
+        #: ``"mpl_change"`` whenever feedback moves its
+        #: multiprogramming limit).
+        self.emit = None
 
     def select(self, pending, in_flight):
         """Index into *pending* to admit now, or ``None`` to hold."""
@@ -149,8 +150,8 @@ class AdaptiveAdmission(FCFSAdmission):
             self.mpl_limit = max(1, self.mpl_limit // 2)
         elif denial_rate < self.low:
             self.mpl_limit = min(self.max_mpl, self.mpl_limit + 1)
-        if self.mpl_limit != before and self.notify is not None:
-            self.notify(
+        if self.mpl_limit != before and self.emit is not None:
+            self.emit(
                 "mpl_change",
                 mpl=self.mpl_limit,
                 previous=before,

@@ -121,8 +121,7 @@ class ConcurrencyControl:
         """
         model = self.model
         model.conflicts.release(txn)
-        model.metrics.active.update(model.conflicts.active_count)
-        model.metrics.locks_held.update(model.conflicts.locks_held)
+        model.metrics.note_population()
         model.metrics.note_failure_abort()
         txn.fault_retries += 1
         model.emit("retry", txn, node=node, retries=txn.fault_retries)
@@ -146,7 +145,7 @@ class ConcurrencyControl:
         model = self.model
         model.emit("abort", txn, aborts=txn.aborts + 1, reason=reason)
         model.metrics.note_denial()
-        model.metrics.note_abort(reason, txn=txn)
+        model.metrics.note_abort(txn)
         txn.aborts += 1
         model.admission.policy.on_deny()
         delay = model.backoff.delay(model.rngs["backoff"], txn.aborts - 1)
@@ -193,16 +192,9 @@ class PreclaimCC(ConcurrencyControl):
         model.blocked_wakes.setdefault(blocker.tid, []).append(wake)
         model.emit("block", txn, blocker=blocker.tid)
         model.metrics.blocked.increment(1)
-        blocked_at = model.env.now
         yield wake
         model.emit("wake", txn)
         model.metrics.blocked.increment(-1)
-        if model.instruments is not None:
-            # Preclaim has no per-granule identity; the wait is
-            # attributed to the run's granularity label only.
-            model.instruments.observe_lock_wait(
-                model.env.now - blocked_at, txn_class=txn.class_name
-            )
 
 
 class NoWaitingCC(PreclaimCC):
@@ -281,14 +273,8 @@ class IncrementalCC(ConcurrencyControl):
                 if victim is not None:
                     self._abort_waiter(victim)
                 model.metrics.blocked.increment(1)
-                blocked_at = model.env.now
                 outcome = yield wake
                 model.metrics.blocked.increment(-1)
-                if model.instruments is not None:
-                    model.instruments.observe_lock_wait(
-                        model.env.now - blocked_at, granule=granule,
-                        txn_class=txn.class_name,
-                    )
                 self._waiting.pop(txn.tid, None)
                 if outcome == ABORTED:
                     aborted = True
@@ -374,14 +360,8 @@ class WoundWaitCC(ConcurrencyControl):
                     if holder.tid > txn.tid:
                         self._wound(holder)
                 model.metrics.blocked.increment(1)
-                blocked_at = model.env.now
                 outcome = yield wake
                 model.metrics.blocked.increment(-1)
-                if model.instruments is not None:
-                    model.instruments.observe_lock_wait(
-                        model.env.now - blocked_at, granule=granule,
-                        txn_class=txn.class_name,
-                    )
                 self._waiting.pop(txn.tid, None)
                 if outcome == ABORTED:
                     aborted = True
@@ -414,7 +394,6 @@ class WoundWaitCC(ConcurrencyControl):
         self._wounded.discard(txn.tid)
         model = self.model
         model.conflicts.release(txn)
-        model.metrics.active.update(model.conflicts.active_count)
-        model.metrics.locks_held.update(model.conflicts.locks_held)
+        model.metrics.note_population()
         yield from self.conflict_abort(txn, reason="wounded")
         return False

@@ -80,15 +80,21 @@ class CommitProtocol:
         """
         model = self.model
         model.conflicts.release(txn)
-        model.metrics.active.update(model.conflicts.active_count)
-        model.metrics.locks_held.update(model.conflicts.locks_held)
-        model.metrics.note_commit_abort(reason)
+        model.metrics.note_population()
+        model.metrics.note_commit_abort()
         txn.commit_retries += 1
         model.emit("commit_abort", txn, reason=reason, retries=txn.commit_retries)
         model.wake_waiters(txn)
         yield model.backoff.delay(
             model.rngs["commit_backoff"], txn.commit_retries - 1
         )
+
+    def commit_decided(self, txn, started):
+        """Record the commit decision of a round begun at time *started*."""
+        model = self.model
+        latency = model.env.now - started
+        model.metrics.note_commit_latency(latency)
+        model.emit("commit_decide", txn, latency=latency)
 
 
 class LocalCommit(CommitProtocol):
@@ -146,7 +152,7 @@ class TwoPhaseCommit(CommitProtocol):
             # forward decision, so the broadcast is asynchronous.
             for site in participants:
                 net.send(home, site, "commit")
-            model.metrics.note_commit_latency(env.now - started)
+            self.commit_decided(txn, started)
             return True
         # Presumed abort: tell whoever is still reachable, then retry.
         for site in participants:
@@ -173,7 +179,6 @@ class PrimaryCopyCommit(CommitProtocol):
             return True
         if not cluster.in_majority(home):
             # Minority partition: degraded read-only mode.
-            model.metrics.note_degraded_mode()
             yield from self.commit_abort(txn, "degraded-read-only")
             return False
         if cluster.primary != home and not net.reachable(home, cluster.primary):
@@ -184,7 +189,7 @@ class PrimaryCopyCommit(CommitProtocol):
         primary = cluster.primary
         if primary == home:
             self._replicate(home)
-            model.metrics.note_commit_latency(env.now - started)
+            self.commit_decided(txn, started)
             return True
         acked = env.event()
 
@@ -199,7 +204,7 @@ class PrimaryCopyCommit(CommitProtocol):
         yield env.any_of([acked, env.timeout(model.params.commit_timeout)])
         if acked.triggered:
             self._replicate(primary)
-            model.metrics.note_commit_latency(env.now - started)
+            self.commit_decided(txn, started)
             return True
         yield from self.commit_abort(txn, "primary-timeout")
         return False
@@ -228,5 +233,4 @@ class PrimaryCopyCommit(CommitProtocol):
             # Nobody elected meanwhile (concurrent coordinators race
             # here; first one to wake wins, the rest observe).
             cluster.elect(new_primary)
-            model.metrics.note_election()
             model.emit_system("election", primary=new_primary, was=old_primary)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.des import ProfiledEnvironment
 from repro.des.events import URGENT, Event
 
 
@@ -104,16 +103,3 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match="negative delay"):
             env.run()
         assert env.now == 1.0
-
-
-class TestProfiledCallbacks:
-    def test_profiled_kernel_counts_callbacks(self):
-        env = ProfiledEnvironment()
-        for _ in range(3):
-            env.schedule_callback(lambda: None, 1.0)
-        env.timeout(2.0)
-        env.run()
-        stats = env.kernel_stats()
-        assert stats.event_type_counts["Callback"] == 3
-        assert stats.event_type_counts["Timeout"] == 1
-        assert stats.events_dispatched == 4

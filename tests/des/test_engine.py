@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, ProfiledEnvironment
+from repro.des import Environment
 from repro.des.errors import EmptySchedule, SimulationError
 
 
@@ -120,8 +120,6 @@ class TestKernelStats:
 
     def test_base_environment_omits_expensive_fields(self, env):
         stats = env.kernel_stats()
-        assert stats.heap_peak is None
-        assert stats.event_type_counts is None
         assert stats.as_dict() == {
             "events_dispatched": 0, "heap_length": 0,
         }
@@ -133,59 +131,6 @@ class TestKernelStats:
         stats = env.kernel_stats()
         assert stats.events_dispatched == 1
         assert stats.heap_length == 1
-
-
-class TestProfiledEnvironment:
-    def test_heap_peak_tracks_maximum_population(self):
-        env = ProfiledEnvironment()
-        for _ in range(7):
-            env.timeout(1.0)
-        env.run()
-        stats = env.kernel_stats()
-        assert stats.heap_peak == 7
-        assert stats.heap_length == 0
-
-    def test_event_type_counts(self):
-        env = ProfiledEnvironment()
-
-        def proc(env):
-            yield env.timeout(1.0)
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        counts = env.kernel_stats().event_type_counts
-        assert counts["Timeout"] == 2
-        assert counts["Initialize"] == 1
-        assert counts["Process"] == 1
-        assert env.events_dispatched == sum(counts.values())
-
-    def test_run_seconds_and_rate_populated(self):
-        env = ProfiledEnvironment()
-        for _ in range(100):
-            env.timeout(1.0)
-        env.run()
-        stats = env.kernel_stats()
-        assert stats.run_seconds > 0
-        assert stats.events_per_second > 0
-        row = stats.as_dict()
-        assert "heap_peak" in row and "event_type_counts" in row
-
-    def test_profiled_run_matches_plain_run(self):
-        def workload(env):
-            log = []
-
-            def proc(env, name):
-                for _ in range(3):
-                    yield env.timeout(1.5)
-                    log.append((name, env.now))
-
-            env.process(proc(env, "a"))
-            env.process(proc(env, "b"))
-            env.run()
-            return log, env.now
-
-        assert workload(Environment()) == workload(ProfiledEnvironment())
 
 
 class TestDeterminism:

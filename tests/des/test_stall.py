@@ -82,14 +82,3 @@ class TestDryHeapDetection:
         env.process(_waiter(env, env.event()))
         env.run()  # no `until`: drains and returns
         assert env.live_process_count == 1
-
-
-class TestProfiledEnvironment:
-    def test_profiled_run_honours_timeout(self):
-        from repro.des.engine import ProfiledEnvironment
-
-        env = ProfiledEnvironment()
-        env.process(_spinner(env))
-        with pytest.raises(SimulationStalled):
-            env.run(timeout=0.01)
-        assert env.kernel_stats().run_seconds > 0

@@ -12,7 +12,7 @@ from repro.obs.report import (
     timeline_chart,
 )
 from repro.obs.sinks import JsonlTraceSink, TraceFile, load_trace
-from repro.obs.telemetry import Telemetry
+from repro.obs.timeseries import TimeSeriesRecorder
 
 
 @pytest.fixture
@@ -20,9 +20,12 @@ def tracefile(fast_params, tmp_path):
     """A real short run exported to JSONL and replayed."""
     path = tmp_path / "run.jsonl"
     sink = JsonlTraceSink(path, params=fast_params.as_dict())
-    telemetry = Telemetry(sink=sink, sample_interval=20.0)
-    LockingGranularityModel(fast_params, telemetry=telemetry).run()
-    telemetry.finish()
+    model = LockingGranularityModel(fast_params, trace=sink)
+    recorder = TimeSeriesRecorder(20.0)
+    recorder.install(model)
+    model.run()
+    recorder.export(sink)
+    sink.close()
     return load_trace(path)
 
 

@@ -8,7 +8,6 @@ from repro.des.trace import Trace
 from repro.obs.sinks import (
     TRACE_SCHEMA,
     JsonlTraceSink,
-    MultiSink,
     RingBufferSink,
     TraceSchemaError,
     load_trace,
@@ -18,15 +17,6 @@ from repro.obs.sinks import (
 class TestRingBufferAlias:
     def test_alias_is_trace(self):
         assert RingBufferSink is Trace
-
-
-class TestMultiSink:
-    def test_fans_out_to_every_sink(self):
-        a, b = Trace(), Trace()
-        multi = MultiSink([a, b])
-        multi.emit(1.0, "arrive", 7, nu=3)
-        assert len(a) == 1 and len(b) == 1
-        assert a.records()[0].details == {"nu": 3}
 
 
 class TestJsonlRoundTrip:

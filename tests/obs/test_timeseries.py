@@ -4,8 +4,15 @@ import pytest
 
 from repro.core.model import LockingGranularityModel
 from repro.obs.sinks import JsonlTraceSink, load_trace
-from repro.obs.telemetry import Telemetry
 from repro.obs.timeseries import TimeSeriesRecorder
+
+
+def _sampled(params, interval, trace=None):
+    """Run *params* with a recorder installed; returns (result, recorder)."""
+    model = LockingGranularityModel(params, trace=trace)
+    recorder = TimeSeriesRecorder(interval)
+    recorder.install(model)
+    return model.run(), recorder
 
 
 class TestRecorder:
@@ -16,10 +23,8 @@ class TestRecorder:
             TimeSeriesRecorder(-1.0)
 
     def test_samples_at_interval(self, fast_params):
-        telemetry = Telemetry(sample_interval=10.0)
-        model = LockingGranularityModel(fast_params, telemetry=telemetry)
-        model.run()
-        rows = telemetry.timeseries.rows
+        _, recorder = _sampled(fast_params, 10.0)
+        rows = recorder.rows
         # tmax=200 at interval 10: samples at t=10, 20, ..., 200.
         assert len(rows) == 20
         assert [row["t"] for row in rows] == [
@@ -27,10 +32,8 @@ class TestRecorder:
         ]
 
     def test_row_shape(self, fast_params):
-        telemetry = Telemetry(sample_interval=25.0)
-        model = LockingGranularityModel(fast_params, telemetry=telemetry)
-        model.run()
-        row = telemetry.timeseries.rows[0]
+        _, recorder = _sampled(fast_params, 25.0)
+        row = recorder.rows[0]
         npros = fast_params.npros
         assert len(row["cpu_q"]) == npros
         assert len(row["disk_q"]) == npros
@@ -43,10 +46,8 @@ class TestRecorder:
 
     def test_some_activity_is_visible(self, fast_params):
         """A busy closed system must show non-zero utilisation."""
-        telemetry = Telemetry(sample_interval=10.0)
-        model = LockingGranularityModel(fast_params, telemetry=telemetry)
-        model.run()
-        rows = telemetry.timeseries.rows
+        _, recorder = _sampled(fast_params, 10.0)
+        rows = recorder.rows
         assert any(sum(row["disk_util"]) > 0 for row in rows)
         assert any(row["active"] > 0 for row in rows)
 
@@ -55,9 +56,7 @@ class TestBitIdentity:
     def test_sampling_does_not_change_results(self, fast_params):
         """The recorder reads state only: results stay bit-identical."""
         plain = LockingGranularityModel(fast_params).run()
-        sampled = LockingGranularityModel(
-            fast_params, telemetry=Telemetry(sample_interval=5.0)
-        ).run()
+        sampled, _ = _sampled(fast_params, 5.0)
         for field in (
             "totcom", "throughput", "response_time", "response_p50",
             "response_p95", "totcpus", "totios", "lockcpus", "lockios",
@@ -70,11 +69,10 @@ class TestBitIdentity:
 class TestExport:
     def test_samples_flushed_into_jsonl(self, fast_params, tmp_path):
         path = tmp_path / "t.jsonl"
-        telemetry = Telemetry(
-            sink=JsonlTraceSink(path), sample_interval=20.0
-        )
-        LockingGranularityModel(fast_params, telemetry=telemetry).run()
-        telemetry.finish(note="done")
+        sink = JsonlTraceSink(path)
+        _, recorder = _sampled(fast_params, 20.0, trace=sink)
+        recorder.export(sink)
+        sink.close(note="done")
         loaded = load_trace(path)
         assert len(loaded.samples) == 10
         assert loaded.footer["samples"] == 10

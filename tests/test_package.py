@@ -77,7 +77,6 @@ MODULES = [
     "repro.obs.metrics",
     "repro.obs.report",
     "repro.obs.sinks",
-    "repro.obs.telemetry",
     "repro.obs.timeseries",
     "repro.obs.top",
     "repro.policies",
