@@ -96,7 +96,12 @@ class LockingGranularityModel:
         streams = RandomStreams(params.seed)
         self.rngs = {name: streams.stream(name) for name in _STREAMS}
         self.backoff = backoff if backoff is not None else FixedUniformBackoff()
-        self.machine = Machine(self.env, params.npros, params.discipline)
+        self.machine = Machine(
+            self.env,
+            params.npros,
+            params.discipline,
+            lanes=fault_plan is None or not fault_plan.acts_per_node(),
+        )
         if params.nnodes > 1:
             # Distributed model (DESIGN.md §12): message transport plus
             # cluster bookkeeping.  Only built when asked for, so

@@ -64,7 +64,9 @@ class Process(Event):
         self._target = None
         #: The resume callback is bound once: every yield re-registers
         #: it, and ``self._resume`` would allocate a fresh bound method
-        #: per access on the hottest path in the kernel.
+        #: per access on the hottest path in the kernel.  It points back
+        #: at the process, so it is dropped when the generator finishes:
+        #: a finished process is then freed by reference counting alone.
         self._resume_cb = self._resume
         #: Entry id of the pending tick (bare-delay sleep).  The
         #: dispatcher skips tick entries whose eid no longer matches —
@@ -138,6 +140,7 @@ class Process(Event):
                 except StopIteration as stop:
                     self._ok = True
                     self._value = stop.value
+                    self._resume_cb = None  # break the self-cycle
                     self.env._live_procs -= 1
                     self.env.schedule(self, delay=0)
                     return
@@ -149,6 +152,7 @@ class Process(Event):
                 except BaseException as error:
                     self._ok = False
                     self._value = error
+                    self._resume_cb = None
                     self.env._live_procs -= 1
                     self.env.schedule(self, delay=0)
                     return
@@ -199,6 +203,7 @@ class Process(Event):
         self._target = None
         self._ok = True
         self._value = stop.value
+        self._resume_cb = None
         self.env._live_procs -= 1
         self.env.schedule(self, delay=0)
 
@@ -212,5 +217,6 @@ class Process(Event):
             raise error
         self._ok = False
         self._value = error
+        self._resume_cb = None
         self.env._live_procs -= 1
         self.env.schedule(self, delay=0)

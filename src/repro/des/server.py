@@ -13,6 +13,10 @@ useful (transaction) work.  :class:`Server` provides exactly that:
   shortest-remaining-first with the ``"sjf"`` discipline);
 * busy time is accumulated per caller-supplied *tag*, so the model can
   separate ``"lock"`` from ``"txn"`` work on each device.
+
+A :class:`Lane` serves work that a set of member servers would all do
+in lockstep at top priority as one queue whose busy periods pause every
+member; the members' busy-time and queue-length reads fold it in.
 """
 
 import heapq
@@ -48,6 +52,11 @@ class _Job:
         # SJF key orders on the mutable ``remaining`` and must be
         # rebuilt per push.
         self.key = (priority, seq)
+
+
+#: Stands in for the job in service while a lane holds a server: no
+#: arrival outranks it, so every submission queues until the release.
+_HELD = _Job(0.0, float("-inf"), None, -1, None, 0.0)
 
 
 class Server:
@@ -87,6 +96,8 @@ class Server:
         self._served = defaultdict(int)
         self._demand_total = defaultdict(float)
         self._scale = 1.0
+        #: The :class:`Lane` this server is a member of, if any.
+        self._lane = None
 
     def __repr__(self):
         return "<Server {!r} queue={} busy={}>".format(
@@ -133,22 +144,33 @@ class Server:
     @property
     def queue_length(self):
         """Number of jobs waiting (not counting the one in service)."""
+        if self._lane is not None:
+            return len(self._heap) + len(self._lane._heap)
         return len(self._heap)
 
     def busy_time(self, tag=None):
         """Accumulated busy time, for one *tag* or in total.
 
         Includes the partially-delivered service of the job currently
-        on the server, so snapshots taken mid-run are exact.
+        on the server, so snapshots taken mid-run are exact.  A lane
+        member counts the lane's busy time as its own.
         """
+        current = self._current
+        start = self._segment_start
         if tag is None:
             total = sum(self._busy.values())
-            if self._current is not None:
-                total += self.env.now - self._segment_start
-            return total
-        total = self._busy.get(tag, 0.0)
-        if self._current is not None and self._current.tag == tag:
-            total += self.env.now - self._segment_start
+        else:
+            total = self._busy.get(tag, 0.0)
+        lane = self._lane
+        if lane is not None:
+            # The float order of a member that served the lane's jobs
+            # itself: (own tags + lane tags) + the in-service partial.
+            busy = lane._busy
+            total += sum(busy.values()) if tag is None else busy.get(tag, 0.0)
+            if current is _HELD:
+                current, start = lane._current, lane._segment_start
+        if current is not None and (tag is None or current.tag == tag):
+            total += self.env.now - start
         return total
 
     def jobs_served(self, tag=None):
@@ -176,7 +198,27 @@ class Server:
         """
         if factor <= 0:
             raise ValueError("scale factor must be > 0, got {}".format(factor))
+        if self._lane is not None:
+            raise RuntimeError(
+                "{} shares the lane {}: scaling one member would not scale "
+                "its share of the lane's jobs".format(self.name, self._lane.name)
+            )
         self._scale = float(factor)
+
+    def hold(self):
+        """Pause service for a lane busy period.
+
+        The job in service is preempted exactly as a more urgent arrival
+        would preempt it; until :meth:`release`, new submissions queue.
+        """
+        if self._current is not None:
+            self._preempt()
+        self._current = _HELD
+
+    def release(self):
+        """End a lane busy period: resume the most urgent waiting job."""
+        self._current = None
+        self._dispatch_next()
 
     def fail_all(self, exception):
         """Kill the job in service and every queued job (a crash).
@@ -263,3 +305,46 @@ class Server:
     def _credit(self, tag, amount):
         if amount > 0:
             self._busy[tag] = self._busy.get(tag, 0.0) + amount
+
+
+class Lane(Server):
+    """A server whose busy periods pause every member server.
+
+    Jobs on the lane stand for work each member does in lockstep at a
+    priority above all of its own jobs.  When each member would see the
+    same stream of such jobs, and they queue only behind one another,
+    one queue reproduces every member's busy periods: a lane busy
+    period starts by holding every member (preempting its job in
+    service) and ends by releasing them all.
+
+    Parameters
+    ----------
+    env:
+        Owning environment.
+    members:
+        The servers the lane's work runs on.
+    name, discipline:
+        As for :class:`Server`.
+    """
+
+    def __init__(self, env, members, name="lane", discipline="fcfs"):
+        super().__init__(env, name, discipline)
+        self.members = tuple(members)
+        self._holding = False
+        for server in self.members:
+            server._lane = self
+
+    def _start(self, job):
+        if not self._holding:
+            self._holding = True
+            for server in self.members:
+                server.hold()
+        Server._start(self, job)
+
+    def _dispatch_next(self):
+        if self._heap:
+            Server._dispatch_next(self)
+        else:
+            self._holding = False
+            for server in self.members:
+                server.release()

@@ -3,7 +3,8 @@
 A :class:`Machine` is ``npros`` :class:`Processor` nodes, each owning a
 private CPU server and a private disk server (shared-nothing: no
 memory or disk is shared between nodes).  Lock-management work is
-fanned out evenly across every node at preemptive priority, matching
+split evenly across every node at preemptive priority (served on one
+shared lock lane per device, see :mod:`repro.engine.machine`), matching
 the paper's assumptions that "processors share the work for [the]
 locking mechanism" and that "the locking mechanism has preemptive
 power over running transactions for I/O and CPU resources".

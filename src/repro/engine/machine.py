@@ -1,6 +1,20 @@
-"""The multiprocessor: processor array plus lock-work fan-out."""
+"""The multiprocessor: processor array plus shared lock work.
 
-from repro.engine.processor import LOCK_TAG, TXN_TAG, Processor
+Lock management is split evenly over the nodes at preemptive priority
+("processors share the work for [the] locking mechanism").  While every
+node is up at nominal speed, each node sees the same stream of lock
+shares, and a share queues only behind other shares, so one lock
+*lane* per device — a CPU :class:`~repro.des.server.Lane` and a disk
+lane whose busy periods pause every node's transaction work — is
+exact: a lock request costs at most two lane jobs and one join.  Fault
+plans that act on single nodes (crashes, disk slowdowns) make the
+shares differ; their machine is built with ``lanes=False`` and charges
+each up node its own share instead.  A one-node machine needs no lane:
+its own servers serve the lock work.
+"""
+
+from repro.des.server import Lane
+from repro.engine.processor import LOCK_TAG, TXN_TAG, Processor, submit_lock_work
 
 
 class BusySnapshot:
@@ -40,14 +54,25 @@ class Machine:
         Number of processor nodes.
     discipline:
         Queueing discipline for every CPU/disk server.
+    lanes:
+        Serve lock work through one lane per device (the default).
+        ``False`` submits every up node's share to that node; crashes
+        and per-node slowdowns need it, and raise on a lane machine.
     """
 
-    def __init__(self, env, npros, discipline="fcfs"):
+    def __init__(self, env, npros, discipline="fcfs", lanes=True):
         if npros < 1:
             raise ValueError("npros must be >= 1, got {}".format(npros))
         self.env = env
         self.npros = npros
         self.processors = [Processor(env, i, discipline) for i in range(npros)]
+        #: (cpu lane, disk lane), or ``None`` for per-node lock work.
+        self._lanes = None
+        if lanes and npros > 1:
+            self._lanes = (
+                Lane(env, [p.cpu for p in self.processors], "cpu-lane", discipline),
+                Lane(env, [p.disk for p in self.processors], "disk-lane", discipline),
+            )
         self._down_count = 0
         self._downtime = 0.0
         self._down_since = {}
@@ -70,6 +95,11 @@ class Machine:
 
     def crash(self, index):
         """Crash node *index*; returns the number of jobs killed there."""
+        if self._lanes is not None:
+            raise RuntimeError(
+                "a crash splits lock work unevenly; build the machine with "
+                "lanes=False to crash nodes"
+            )
         proc = self.processors[index]
         if not proc.up:
             return 0
@@ -129,12 +159,18 @@ class Machine:
         priority; the returned event fires when the slowest share
         completes.  With all nodes down the request costs nothing — the
         requesting transaction will fail on its own node's servers.
+        On a lane machine the shares are one job per device lane.
         """
         if cpu_total <= 0 and io_total <= 0:
             return self.env.timeout(0)
         if self._lock_scale != 1.0:
             cpu_total *= self._lock_scale
             io_total *= self._lock_scale
+        if self._lanes is not None:
+            cpu, disk = self._lanes
+            return submit_lock_work(
+                self.env, cpu, disk, cpu_total / self.npros, io_total / self.npros
+            )
         if self._down_count:
             nodes = [p for p in self.processors if p.up]
             if not nodes:

@@ -13,6 +13,20 @@ LOCK_TAG = "lock"
 TXN_TAG = "txn"
 
 
+def submit_lock_work(env, cpu, disk, cpu_demand, io_demand):
+    """Post lock work on the *cpu* and *disk* servers; one event for both."""
+    events = []
+    if io_demand > 0:
+        events.append(disk.submit(io_demand, LOCK_PRIORITY, LOCK_TAG))
+    if cpu_demand > 0:
+        events.append(cpu.submit(cpu_demand, LOCK_PRIORITY, LOCK_TAG))
+    if not events:
+        return env.timeout(0)
+    if len(events) == 1:
+        return events[0]
+    return env.all_of(events)
+
+
 class ProcessorDown(Exception):
     """Raised into work waiting on (or submitted to) a crashed node.
 
@@ -80,16 +94,7 @@ class Processor:
         concurrently; the returned event fires when both complete.
         Zero-demand shares complete immediately.
         """
-        events = []
-        if io_demand > 0:
-            events.append(self.disk.submit(io_demand, LOCK_PRIORITY, LOCK_TAG))
-        if cpu_demand > 0:
-            events.append(self.cpu.submit(cpu_demand, LOCK_PRIORITY, LOCK_TAG))
-        if not events:
-            return self.env.timeout(0)
-        if len(events) == 1:
-            return events[0]
-        return self.env.all_of(events)
+        return submit_lock_work(self.env, self.cpu, self.disk, cpu_demand, io_demand)
 
     def io(self, demand):
         """Queue transaction I/O on this node's disk."""

@@ -233,6 +233,11 @@ class FaultPlan:
         object.__setattr__(self, "partitions", tuple(self.partitions))
         object.__setattr__(self, "link_delays", tuple(self.link_delays))
 
+    def acts_per_node(self):
+        """True when a fault source hits single nodes (crashes, disk
+        slowdowns), so the machine must charge lock work node by node."""
+        return bool(self.crashes or self.disk_slowdowns)
+
     def enabled(self):
         """True when the plan schedules at least one fault source."""
         return bool(

@@ -1,5 +1,7 @@
 """Unit tests for generator processes."""
 
+import gc
+
 import pytest
 
 from repro.des import Environment, Process
@@ -211,3 +213,33 @@ class TestForkJoin:
 
         assert build() == list("abcd")
         assert build() == build()
+
+
+class TestReclaim:
+    """A finished process holds no reference cycle of its own, so it is
+    freed by reference counting even with the cycle collector off."""
+
+    @staticmethod
+    def _live_processes():
+        return sum(1 for obj in gc.get_objects() if type(obj) is Process)
+
+    def test_finished_process_is_freed_without_the_collector(self):
+        def waits_on_event(env):
+            yield env.timeout(1.0)
+            return "done"
+
+        def sleeps_bare(env):
+            yield 2.0
+
+        gc.disable()
+        try:
+            env = Environment()
+            before = self._live_processes()
+            processes = [env.process(waits_on_event(env)), env.process(sleeps_bare(env))]
+            env.run()
+            assert processes[0].value == "done"
+            assert self._live_processes() == before + 2
+            del processes
+            assert self._live_processes() == before
+        finally:
+            gc.enable()

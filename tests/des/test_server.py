@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import Environment, Server
+from repro.des.server import Lane
 
 
 def run_until(env, event):
@@ -123,6 +124,75 @@ class TestPreemption:
         env.process(intruder(env))
         env.run(until=victim_done)
         assert env.now <= 4  # victim must not wait behind the intruder
+
+
+class TestLane:
+    def _lane(self, env, n=2):
+        members = [Server(env, "m{}".format(i)) for i in range(n)]
+        return Lane(env, members, "lane"), members
+
+    def test_busy_period_pauses_every_member(self, env):
+        lane, members = self._lane(env)
+        txns = [m.submit(10, priority=1, tag="txn") for m in members]
+
+        def intruder(env):
+            yield env.timeout(4)
+            yield lane.submit(2, 0, "lock")
+            assert env.now == 6
+
+        env.process(intruder(env))
+        env.run(until=env.all_of(txns))
+        # Each member: 4 served, paused 2, remaining 6 => done at 12.
+        assert env.now == 12
+        for member in members:
+            assert member.busy_time("txn") == pytest.approx(10)
+            assert member.busy_time("lock") == pytest.approx(2)
+            assert member.busy_time() == pytest.approx(12)
+
+    def test_member_reads_fold_in_the_lane(self, env):
+        lane, members = self._lane(env)
+        member = members[0]
+        member.submit(10, priority=1, tag="txn")
+        env.run(until=4)
+        lane.submit(2, 0, "lock")
+        lane.submit(2, 0, "lock")
+        member.submit(1, priority=1, tag="txn")
+        env.run(until=5)
+        assert member.busy
+        # Own waiting job + preempted job + one queued lane job.
+        assert member.queue_length == 3
+        assert members[1].queue_length == 1
+        assert member.busy_time("lock") == pytest.approx(1)
+        assert member.busy_time("txn") == pytest.approx(4)
+        assert member.busy_time() == pytest.approx(5)
+        env.run(until=9)
+        assert member.busy_time("lock") == pytest.approx(4)
+        assert member.busy_time("txn") == pytest.approx(5)
+        assert member.queue_length == 1
+
+    def test_hold_finishes_a_job_ending_at_that_instant(self, env):
+        lane, members = self._lane(env, n=1)
+        victim_done = members[0].submit(3, priority=1)
+
+        def intruder(env):
+            yield env.timeout(3)
+            yield lane.submit(1, 0, "lock")
+
+        env.process(intruder(env))
+        env.run(until=victim_done)
+        assert env.now <= 4  # victim must not wait behind the lane job
+
+    def test_lane_jobs_queue_behind_each_other_only(self, env):
+        lane, members = self._lane(env)
+        first = lane.submit(2, 0, "lock")
+        second = lane.submit(3, 0, "lock")
+        txn = members[1].submit(1, priority=1, tag="txn")
+        env.run(until=first)
+        assert env.now == 2
+        env.run(until=second)
+        assert env.now == 5
+        env.run(until=txn)
+        assert env.now == 6
 
 
 class TestAccounting:

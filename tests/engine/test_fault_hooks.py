@@ -116,7 +116,7 @@ class TestProcessorFaultHooks:
 
 class TestMachineFaultAccounting:
     def test_crash_recover_cycle_accumulates_downtime(self, env):
-        machine = Machine(env, 4)
+        machine = Machine(env, 4, lanes=False)
         env.run(until=10.0)
         machine.crash(1)
         env.run(until=25.0)
@@ -125,7 +125,7 @@ class TestMachineFaultAccounting:
         assert machine.down_count == 0
 
     def test_open_interval_counts_toward_downtime(self, env):
-        machine = Machine(env, 2)
+        machine = Machine(env, 2, lanes=False)
         env.run(until=5.0)
         machine.crash(0)
         env.run(until=12.0)
@@ -133,14 +133,14 @@ class TestMachineFaultAccounting:
         assert machine.downtime(env.now) == pytest.approx(7.0)
 
     def test_downtime_sums_over_nodes(self, env):
-        machine = Machine(env, 4)
+        machine = Machine(env, 4, lanes=False)
         machine.crash(0)
         machine.crash(1)
         env.run(until=10.0)
         assert machine.downtime(env.now) == pytest.approx(20.0)
 
     def test_degraded_time_is_wall_clock_not_per_node(self, env):
-        machine = Machine(env, 4)
+        machine = Machine(env, 4, lanes=False)
         machine.crash(0)
         machine.crash(1)
         env.run(until=10.0)
@@ -150,13 +150,13 @@ class TestMachineFaultAccounting:
         assert machine.degraded_time(env.now) == pytest.approx(16.0)
 
     def test_crash_on_down_node_is_a_noop(self, env):
-        machine = Machine(env, 2)
+        machine = Machine(env, 2, lanes=False)
         machine.crash(0)
         assert machine.crash(0) == 0
         assert machine.down_count == 1
 
     def test_lock_overhead_divides_over_up_nodes_only(self, env):
-        machine = Machine(env, 4)
+        machine = Machine(env, 4, lanes=False)
         machine.crash(0)
         machine.crash(1)
 
@@ -169,7 +169,7 @@ class TestMachineFaultAccounting:
         assert env.run(until=process) == 2.0
 
     def test_lock_overhead_free_when_all_down(self, env):
-        machine = Machine(env, 2)
+        machine = Machine(env, 2, lanes=False)
         machine.crash(0)
         machine.crash(1)
 
@@ -196,3 +196,27 @@ class TestMachineFaultAccounting:
         machine = Machine(env, 2)
         with pytest.raises(ValueError):
             machine.set_lock_scale(0.0)
+
+
+class TestLaneGuard:
+    """A lane machine shares every lock job across all nodes, so faults
+    that act on one node must not run on it silently."""
+
+    def test_crash_raises_and_leaves_the_node_up(self, env):
+        machine = Machine(env, 4)
+        with pytest.raises(RuntimeError, match="lanes=False"):
+            machine.crash(1)
+        assert machine.down_count == 0
+        assert machine[1].up
+
+    def test_node_disk_scale_raises(self, env):
+        machine = Machine(env, 4)
+        with pytest.raises(RuntimeError, match="disk2"):
+            machine[2].disk.set_scale(2.0)
+        assert machine[2].disk.scale == 1.0
+
+    def test_one_node_machine_needs_no_lane(self, env):
+        machine = Machine(env, 1)
+        machine[0].disk.set_scale(2.0)
+        assert machine.crash(0) == 0
+        assert machine.down_count == 1
