@@ -12,6 +12,7 @@ streams, the metrics, the emit stream and the fork/join execution
 of granted transactions.
 """
 
+from functools import partial
 from itertools import count
 
 from repro.core.conflict import make_conflict_engine
@@ -23,6 +24,7 @@ from repro.core.results import aggregate
 from repro.core.transaction import Transaction, split_entities
 from repro.core.workload import make_size_sampler
 from repro.des import Environment, RandomStreams
+from repro.des.events import URGENT, Join
 from repro.engine.machine import Machine
 from repro.engine.processor import ProcessorDown
 from repro.faults.backoff import FixedUniformBackoff
@@ -334,42 +336,65 @@ class LockingGranularityModel:
     def _execute(self, txn):
         """Run the sub-transactions; True iff every one completed.
 
-        A sub on a crashed node reports failure without failing its
-        process event, so the join always succeeds and surviving
-        siblings run to completion before the parent aborts.
+        Each sub-transaction is a chain of callbacks, not a process: a
+        start hop submits the disk work, whose completion submits the
+        CPU work, whose completion reports to one :class:`Join`.  Each
+        hop takes the event id its process-form stand-in drew (DESIGN.md
+        §7), so the dispatch order is unchanged.  A sub on a crashed
+        node gets :class:`ProcessorDown` at its next hop and reports as
+        failed; the join still waits for its siblings before the parent
+        aborts.
         """
         processors = self.partitioning.processors(self.rngs["partitioning"])
         self.emit("exec", txn, pu=len(processors))
         shares = split_entities(txn.nu, len(processors))
-        subtxns = []
-        for sub, (proc_index, entities) in enumerate(zip(processors, shares)):
-            if entities <= 0:
-                continue
-            self.emit("fork", txn, sub=sub, node=proc_index, entities=entities)
-            subtxns.append(
-                self.env.process(
-                    self._subtransaction(txn, sub, proc_index, entities)
-                )
-            )
-        if subtxns:
-            yield self.env.all_of(subtxns)
-        self.emit("join", txn, subs=len(subtxns))
-        return all(sub.value for sub in subtxns)
+        forks = [
+            (sub, node, entities)
+            for sub, (node, entities) in enumerate(zip(processors, shares))
+            if entities > 0
+        ]
+        failed = []
+        if forks:
+            env = self.env
+            machine = self.machine
+            params = self.params
+            emit = self.emit
+            join = Join(env, len(forks))
 
-    def _subtransaction(self, txn, sub, proc_index, entities):
-        params = self.params
-        node = self.machine[proc_index]
-        try:
-            self.emit("io_start", txn, sub=sub, node=proc_index)
-            yield node.io(entities * params.iotime)
-            self.emit("io_end", txn, sub=sub, node=proc_index)
-            self.emit("cpu_start", txn, sub=sub, node=proc_index)
-            yield node.compute(entities * params.cputime)
-            self.emit("cpu_end", txn, sub=sub, node=proc_index)
-        except ProcessorDown as down:
-            self.emit("sub_fail", txn, sub=sub, node=down.index)
-            return False
-        return True
+            def start(sub, node, entities):
+                emit("io_start", txn, sub=sub, node=node)
+                machine[node].io(
+                    entities * params.iotime, partial(io_done, sub, node, entities)
+                )
+
+            def io_done(sub, node, entities, down=None):
+                if down is not None:
+                    return fail(sub, down)
+                emit("io_end", txn, sub=sub, node=node)
+                emit("cpu_start", txn, sub=sub, node=node)
+                machine[node].compute(
+                    entities * params.cputime, partial(cpu_done, sub, node)
+                )
+
+            def cpu_done(sub, node, down=None):
+                if down is not None:
+                    return fail(sub, down)
+                emit("cpu_end", txn, sub=sub, node=node)
+                env.schedule_callback(join.child)
+
+            def fail(sub, down):
+                emit("sub_fail", txn, sub=sub, node=down.index)
+                failed.append(sub)
+                env.schedule_callback(join.child)
+
+            for sub, node, entities in forks:
+                emit("fork", txn, sub=sub, node=node, entities=entities)
+                env.schedule_callback(
+                    partial(start, sub, node, entities), 0.0, URGENT
+                )
+            yield join
+        self.emit("join", txn, subs=len(forks))
+        return not failed
 
     # -- completion ----------------------------------------------------------
 

@@ -32,7 +32,7 @@ Example
 
 from repro.des.engine import Environment, KernelStats
 from repro.des.errors import Interrupt, SimulationError, StopSimulation
-from repro.des.events import AllOf, AnyOf, Event, Timeout
+from repro.des.events import AllOf, AnyOf, Event, Join, Timeout
 from repro.des.monitor import Tally, TimeWeighted
 from repro.des.process import Process
 from repro.des.resource import Request, Resource
@@ -47,6 +47,7 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
+    "Join",
     "KernelStats",
     "Process",
     "RandomStreams",

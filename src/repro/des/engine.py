@@ -101,9 +101,8 @@ class Environment:
         processed.  This is the zero-allocation path for internal
         wakeups that nothing ever waits on (e.g. server completion
         segments): one heap tuple instead of an Event, its callback
-        list and a closure per callback.  The callable must not have a
-        ``callbacks`` attribute (plain functions, closures and bound
-        methods never do).
+        list and a closure per callback.  The run loop tells the two
+        apart with ``callable``: events are never callable.
         """
         if delay < 0:
             raise ValueError("negative delay {}".format(delay))
@@ -172,11 +171,10 @@ class Environment:
         if event.__class__ is Process and event._target is _TICK:
             self._tick(event, eid)
             return
-        try:
-            callbacks = event.callbacks
-        except AttributeError:  # a bare callback, not an Event
+        if callable(event):  # a bare callback, not an Event
             event()
             return
+        callbacks = event.callbacks
         event.callbacks = None
         waiter = event._waiter
         if waiter is not None:
@@ -231,21 +229,19 @@ class Environment:
                                 event._resume(None, delay)
                     # else: stale tick — an interrupt resumed the
                     # process first; the entry is dropped silently.
+                elif callable(event):  # a bare callback, not an Event
+                    event()
                 else:
-                    try:
-                        callbacks = event.callbacks
-                    except AttributeError:  # a bare callback, not an Event
-                        event()
-                    else:
-                        event.callbacks = None
-                        waiter = event._waiter
-                        if waiter is not None:
-                            event._waiter = None
-                            waiter(event)
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    waiter = event._waiter
+                    if waiter is not None:
+                        event._waiter = None
+                        waiter(event)
+                    for callback in callbacks:
+                        callback(event)
+                    if not event._ok and not event._defused:
+                        raise event._value
                 if deadline is not None and not dispatched & 1023:
                     # The wall-clock guard is checked once every 1024
                     # events so the budget costs one masked compare

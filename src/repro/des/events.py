@@ -152,6 +152,35 @@ class Initialize(Event):
         env.schedule(self, delay=0, priority=URGENT)
 
 
+class Join(Event):
+    """A countdown join: succeeds once *count* children report.
+
+    Children are not events but completion callbacks: each calls
+    :meth:`child` once, with ``None`` on success or an exception on
+    failure.  The first error fails the join; any report after the
+    join triggered is ignored.  The join triggers in the same
+    dispatch, and so with the same event id, as an :class:`AllOf` over
+    the children's done events would.
+    """
+
+    __slots__ = ("_pending",)
+
+    def __init__(self, env, count):
+        super().__init__(env)
+        self._pending = count
+
+    def child(self, error=None):
+        """Report one child's outcome."""
+        if self._value is not PENDING:
+            return
+        if error is not None:
+            self.fail(error)
+            return
+        self._pending -= 1
+        if not self._pending:
+            self.succeed()
+
+
 class Condition(Event):
     """Base for fork/join events over a set of child events.
 

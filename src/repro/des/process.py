@@ -48,8 +48,11 @@ class Process(Event):
     therefore every simulation result) bit-identical.
 
     A process is itself an event: it triggers with the generator's
-    return value when the generator finishes, so processes can wait on
-    one another or be joined with :class:`~repro.des.events.AllOf`.
+    return value when the generator finishes, so other processes can
+    wait on it, alone or inside a condition event.  Work that needs no
+    generator of its own (the model's sub-transactions) runs instead
+    as a chain of completion callbacks reporting into a
+    :class:`~repro.des.events.Join`.
     """
 
     __slots__ = ("_generator", "_target", "_resume_cb", "_tick_eid")
@@ -136,25 +139,12 @@ class Process(Event):
                         )
                     else:
                         event.defuse()
-                        next_event = self._generator.throw(event.value)
+                        next_event = self._throw(event._value)
                 except StopIteration as stop:
-                    self._ok = True
-                    self._value = stop.value
-                    self._resume_cb = None  # break the self-cycle
-                    self.env._live_procs -= 1
-                    self.env.schedule(self, delay=0)
+                    self._finish_stop(stop)
                     return
-                except Interrupt:
-                    # The process let an interrupt escape: treat it as an
-                    # unhandled failure of the process event.
-                    self.env._live_procs -= 1
-                    raise
                 except BaseException as error:
-                    self._ok = False
-                    self._value = error
-                    self._resume_cb = None
-                    self.env._live_procs -= 1
-                    self.env.schedule(self, delay=0)
+                    self._finish_error(error)
                     return
             else:
                 next_event = yielded
@@ -196,10 +186,28 @@ class Process(Event):
             self._target = next_event
             return
 
-    # -- dispatch-loop hooks (tick fast path) ---------------------------
+    def _throw(self, error):
+        """Throw a failed event's *error* in at the yield point.
+
+        The error keeps the traceback it arrived with, whether the
+        generator handles it or not: the event that failed still holds
+        it, and the generator frame the throw would add to it may hold
+        that event (a cycle through the frame's locals).
+        """
+        tb = error.__traceback__
+        try:
+            return self._generator.throw(error)
+        finally:
+            error.__traceback__ = tb
+
+    # -- finish hooks (shared by _resume and the tick fast path) --------
 
     def _finish_stop(self, stop):
-        """Generator returned (StopIteration) from the tick fast path."""
+        """The generator returned: succeed with its return value.
+
+        The bound ``_resume_cb`` points back at the process, so it is
+        dropped here: a finished process is freed by reference counting.
+        """
         self._target = None
         self._ok = True
         self._value = stop.value
@@ -208,15 +216,20 @@ class Process(Event):
         self.env.schedule(self, delay=0)
 
     def _finish_error(self, error):
-        """Generator raised from the tick fast path (mirrors _resume)."""
+        """The generator raised *error*: fail with it (an escaped
+        :class:`Interrupt` propagates out of the run loop instead).
+
+        The traceback's first entry is the kernel frame that caught the
+        error, whose locals hold this process; it is cut, so the error
+        keeps only its own frames and a failed process is freed by
+        reference counting too.
+        """
         self._target = None
+        self.env._live_procs -= 1
         if isinstance(error, Interrupt):
-            # The process let an interrupt escape — same treatment as
-            # the ``except Interrupt`` arm in :meth:`_resume`.
-            self.env._live_procs -= 1
             raise error
+        error.__traceback__ = error.__traceback__.tb_next
         self._ok = False
         self._value = error
         self._resume_cb = None
-        self.env._live_procs -= 1
         self.env.schedule(self, delay=0)

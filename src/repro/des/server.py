@@ -21,6 +21,7 @@ member; the members' busy-time and queue-length reads fold it in.
 
 import heapq
 from collections import defaultdict
+from functools import partial
 from itertools import count
 
 from repro.des.events import Event
@@ -106,7 +107,7 @@ class Server:
 
     # -- public API ------------------------------------------------------
 
-    def submit(self, demand, priority=0, tag="default"):
+    def submit(self, demand, priority=0, tag="default", then=None):
         """Request *demand* units of service; returns the done event.
 
         Parameters
@@ -117,6 +118,12 @@ class Server:
             Lower numbers are served first and preempt higher numbers.
         tag:
             Accounting bucket for the busy time this job consumes.
+        then:
+            Completion callback used instead of a done event (``None``
+            is returned): ``then()`` runs when the job finishes,
+            ``then(exception)`` when :meth:`fail_all` kills it.  It
+            takes the event id and priority the done event's trigger
+            would have drawn, so both forms dispatch identically.
         """
         if demand < 0:
             raise ValueError("negative service demand {}".format(demand))
@@ -124,7 +131,7 @@ class Server:
             # Transient degradation window (fault injection): inflate
             # the service requirement of jobs submitted inside it.
             demand = demand * self._scale
-        done = Event(self.env)
+        done = Event(self.env) if then is None else then
         job = _Job(demand, priority, tag, next(self._seq), done, self.env.now)
         self._demand_total[tag] += demand
         if self._current is None:
@@ -134,7 +141,7 @@ class Server:
             self._start(job)
         else:
             heapq.heappush(self._heap, (self._key(job), job))
-        return done
+        return done if then is None else None
 
     @property
     def busy(self):
@@ -224,7 +231,8 @@ class Server:
         """Kill the job in service and every queued job (a crash).
 
         Each killed job's done event fails with *exception*, so waiting
-        processes receive it at their yield point.  Busy time already
+        processes receive it at their yield point (a job submitted with
+        ``then`` gets ``then(exception)`` instead).  Busy time already
         delivered to the in-service job stays credited (the device was
         genuinely busy until the instant of the crash).  Returns the
         number of jobs killed.
@@ -235,11 +243,11 @@ class Server:
             self._credit(job.tag, self.env.now - self._segment_start)
             self._token += 1  # invalidate the scheduled completion
             self._current = None
-            job.done.fail(exception)
+            self._kill(job, exception)
             killed += 1
         while self._heap:
             _, job = heapq.heappop(self._heap)
-            job.done.fail(exception)
+            self._kill(job, exception)
             killed += 1
         return killed
 
@@ -295,7 +303,18 @@ class Server:
 
     def _finish(self, job):
         self._served[job.tag] = self._served.get(job.tag, 0) + 1
-        job.done.succeed()
+        done = job.done
+        if done.__class__ is Event:
+            done.succeed()
+        else:
+            self.env.schedule_callback(done)
+
+    def _kill(self, job, exception):
+        done = job.done
+        if done.__class__ is Event:
+            done.fail(exception)
+        else:
+            self.env.schedule_callback(partial(done, exception))
 
     def _dispatch_next(self):
         if self._current is None and self._heap:

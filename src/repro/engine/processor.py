@@ -1,6 +1,8 @@
 """One shared-nothing processor node: a private CPU and a private disk."""
 
-from repro.des.events import Event
+from functools import partial
+
+from repro.des.events import Event, Join
 from repro.des.server import Server
 
 #: Lock-management work preempts transaction work (paper §2).
@@ -14,17 +16,18 @@ TXN_TAG = "txn"
 
 
 def submit_lock_work(env, cpu, disk, cpu_demand, io_demand):
-    """Post lock work on the *cpu* and *disk* servers; one event for both."""
-    events = []
+    """Post lock work on the *cpu* and *disk* servers; one event (a
+    :class:`~repro.des.events.Join` when both run) for both."""
+    if io_demand > 0 and cpu_demand > 0:
+        join = Join(env, 2)
+        disk.submit(io_demand, LOCK_PRIORITY, LOCK_TAG, join.child)
+        cpu.submit(cpu_demand, LOCK_PRIORITY, LOCK_TAG, join.child)
+        return join
     if io_demand > 0:
-        events.append(disk.submit(io_demand, LOCK_PRIORITY, LOCK_TAG))
+        return disk.submit(io_demand, LOCK_PRIORITY, LOCK_TAG)
     if cpu_demand > 0:
-        events.append(cpu.submit(cpu_demand, LOCK_PRIORITY, LOCK_TAG))
-    if not events:
-        return env.timeout(0)
-    if len(events) == 1:
-        return events[0]
-    return env.all_of(events)
+        return cpu.submit(cpu_demand, LOCK_PRIORITY, LOCK_TAG)
+    return env.timeout(0)
 
 
 class ProcessorDown(Exception):
@@ -81,11 +84,13 @@ class Processor:
         """Bring the node back up (it restarts with empty queues)."""
         self.up = True
 
-    def _down_event(self):
-        """An event that fails with :class:`ProcessorDown` immediately."""
-        event = Event(self.env)
-        event.fail(ProcessorDown(self.index))
-        return event
+    def _down(self, then):
+        """Fail new work at once: a failed event, or ``then(ProcessorDown)``."""
+        down = ProcessorDown(self.index)
+        if then is not None:
+            self.env.schedule_callback(partial(then, down))
+            return None
+        return Event(self.env).fail(down)
 
     def lock_work(self, cpu_demand, io_demand):
         """Submit this node's share of a lock request's processing.
@@ -96,17 +101,19 @@ class Processor:
         """
         return submit_lock_work(self.env, self.cpu, self.disk, cpu_demand, io_demand)
 
-    def io(self, demand):
-        """Queue transaction I/O on this node's disk."""
+    def io(self, demand, then=None):
+        """Queue transaction I/O on this node's disk (see
+        :meth:`~repro.des.server.Server.submit` for *then*)."""
         if not self.up:
-            return self._down_event()
-        return self.disk.submit(demand, TXN_PRIORITY, TXN_TAG)
+            return self._down(then)
+        return self.disk.submit(demand, TXN_PRIORITY, TXN_TAG, then)
 
-    def compute(self, demand):
-        """Queue transaction CPU work on this node's processor."""
+    def compute(self, demand, then=None):
+        """Queue transaction CPU work on this node's processor (see
+        :meth:`~repro.des.server.Server.submit` for *then*)."""
         if not self.up:
-            return self._down_event()
-        return self.cpu.submit(demand, TXN_PRIORITY, TXN_TAG)
+            return self._down(then)
+        return self.cpu.submit(demand, TXN_PRIORITY, TXN_TAG, then)
 
     # -- accounting ------------------------------------------------------
 

@@ -243,3 +243,46 @@ class TestReclaim:
             assert self._live_processes() == before
         finally:
             gc.enable()
+
+    def test_failed_process_is_freed_without_the_collector(self):
+        def fails_after_event(env):
+            yield env.timeout(1.0)
+            raise ValueError("after event")
+
+        def fails_after_bare_sleep(env):
+            yield 1.0
+            raise ValueError("after sleep")
+
+        def joins(env, child):
+            try:
+                yield child
+            except ValueError:
+                return "handled"
+
+        gc.disable()
+        try:
+            env = Environment()
+            before = self._live_processes()
+            defused = [
+                env.process(fails_after_event(env)),
+                env.process(fails_after_bare_sleep(env)),
+            ]
+            for process in defused:
+                process.defuse()
+            joined = env.process(fails_after_bare_sleep(env))
+            joiner = env.process(joins(env, joined))
+            env.run()
+            assert [str(p.value) for p in defused] == ["after event", "after sleep"]
+            assert joiner.value == "handled"
+            assert self._live_processes() == before + 4
+            frames = []
+            tb = defused[0].value.__traceback__
+            while tb is not None:
+                frames.append(tb.tb_frame.f_code.co_name)
+                tb = tb.tb_next
+            del defused, process, joined, joiner, tb
+            assert self._live_processes() == before
+            # The stored error still carries the generator's own frame.
+            assert frames == ["fails_after_event"]
+        finally:
+            gc.enable()
